@@ -2,8 +2,9 @@
 morphism enumeration, witness construction, polynomial equality.
 
 Exit codes: 0 success, 1 semantic negative (point in support, functions
-unequal), 2 input error, 3 inexhaustive enumeration (cone records present
-and no --expand bound given).  Enumerations stream JSON lines; rationals
+unequal), 2 input error (including any ValueError the library raises on
+the given input), 3 inexhaustive enumeration (cone records present and no
+--expand bound given).  Enumerations stream JSON lines; rationals
 are printed as exact "p/q" strings.
 """
 
@@ -14,7 +15,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .fan import Fan1D, GenMatrix, check_balancing, weighted_eval_map
+from .fan import Fan1D, GenMatrix, check_balancing, json_int, weighted_eval_map
 from .homsearch import enumerate_homs, enumerate_morphisms
 from .lattice import Lattice
 from .tropoly import parse_poly, fn_eq_on_space, fn_eq_on_rays, separating_point
@@ -54,7 +55,8 @@ def _load_genmatrix(path: str) -> GenMatrix:
     try:
         if isinstance(data, dict):
             return weighted_eval_map(Fan1D.from_json_dict(data))
-        return GenMatrix.from_matrix(data)
+        return GenMatrix.from_matrix([[json_int(e, "matrix entry") for e in row]
+                                      for row in data])
     except (ValueError, TypeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -107,14 +109,14 @@ def cmd_homs(args) -> int:
         tg = _load_genmatrix(target)
         size = tg.n_labels
         lattice = Lattice.from_rows(tg.matrix())
-    enum = enumerate_homs(source, size, lattice, jobs=args.jobs)
+    enum = enumerate_homs(source, size, lattice)
     return _print_enumeration(enum, args.expand)
 
 
 def cmd_morphisms(args) -> int:
     from_fan = _load_fan(args.from_fan)
     to_fan = _load_fan(args.to_fan)
-    enum = enumerate_morphisms(from_fan, to_fan, jobs=args.jobs)
+    enum = enumerate_morphisms(from_fan, to_fan)
     if args.expand is None:
         for line in enum.to_json_lines():
             print(line)
@@ -184,6 +186,12 @@ def cmd_polyeq(args) -> int:
     return EXIT_NEGATIVE
 
 
+def _bound(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tropfan",
@@ -202,18 +210,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("homs", help="enumerate homomorphism matrix families")
     p.add_argument("source", help="generator matrix JSON or fan file")
     p.add_argument("target", help="'full:<size>', generator matrix JSON, or fan file")
-    p.add_argument("--expand", type=int, metavar="S_MAX",
+    p.add_argument("--expand", type=_bound, metavar="S_MAX",
                    help="expand families into explicit matrices with parameter <= S_MAX")
     p.add_argument("--jobs", type=int, default=1, metavar="K",
-                   help="parallel workers for the assignment scan")
+                   help="accepted for compatibility and ignored; the scan is serial")
     p.set_defaults(func=cmd_homs)
 
     p = sub.add_parser("morphisms", help="enumerate fan-morphism matrix families")
     p.add_argument("from_fan")
     p.add_argument("to_fan")
-    p.add_argument("--expand", type=int, metavar="K_MAX",
+    p.add_argument("--expand", type=_bound, metavar="K_MAX",
                    help="expand families into explicit matrices with parameter <= K_MAX")
-    p.add_argument("--jobs", type=int, default=1, metavar="K")
+    p.add_argument("--jobs", type=int, default=1, metavar="K",
+                   help="accepted for compatibility and ignored; the scan is serial")
     p.set_defaults(func=cmd_morphisms)
 
     p = sub.add_parser("witness", help="separating witness for a point against a fan")
@@ -236,7 +245,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -11,17 +11,9 @@ vectors, sorted lexicographically.
 
 from __future__ import annotations
 
-from math import gcd
 from typing import Sequence
 
-
-def _primitive(v: Sequence[int]) -> tuple[int, ...]:
-    g = 0
-    for e in v:
-        g = gcd(g, e)
-    if g == 0:
-        return tuple(v)
-    return tuple(e // g for e in v)
+from .fan import primitive
 
 
 def extreme_rays(N: Sequence[Sequence[int]], n_vars: int) -> list[tuple[int, ...]]:
@@ -49,7 +41,8 @@ def extreme_rays(N: Sequence[Sequence[int]], n_vars: int) -> list[tuple[int, ...
                 common = zsets[rp] & zsets[rn]
                 if any(zsets[r] >= common for r in rays if r != rp and r != rn):
                     continue
-                comb = _primitive(tuple(vals[rp] * b - vals[rn] * a
+                # nonzero: the combination is positive where rp or rn is
+                comb = primitive(tuple(vals[rp] * b - vals[rn] * a
                                         for a, b in zip(rp, rn)))
                 if comb not in seen:
                     seen.add(comb)

@@ -29,6 +29,14 @@ def primitive(d: Sequence[int]) -> tuple[int, ...]:
     return tuple(e // g for e in d)
 
 
+def json_int(value, what: str) -> int:
+    """An integer read from JSON; bools, floats and numeric strings are
+    refused rather than truncated, because exactness is the contract."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 class Ray:
     """A rational ray: primitive integer direction plus a positive weight."""
 
@@ -109,8 +117,10 @@ class Fan1D:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Fan1D":
         try:
-            dim = int(data["ambient_dim"])
-            rays = [Ray(r["direction"], r.get("weight", 1)) for r in data["rays"]]
+            dim = json_int(data["ambient_dim"], "ambient_dim")
+            rays = [Ray([json_int(e, "direction entry") for e in r["direction"]],
+                        json_int(r.get("weight", 1), "weight"))
+                    for r in data["rays"]]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed fan data: {exc}") from exc
         return cls(dim, rays)

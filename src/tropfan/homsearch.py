@@ -7,9 +7,11 @@ matrix is determined by the images of those rows; stacking the images gives
 an integer matrix whose rows sum to zero and whose every column is a
 nonnegative rational multiple of a source column ("geometric").  Restricting
 the codomain to a subsemiring adds a lattice-membership condition on the
-rows.  The enumerator iterates column-assignment patterns, computes the
-extreme rays of each pattern's scaling cone exactly, and packages each
-one-dimensional cone as a single-parameter family: a primitive base matrix
+rows.  Each column-assignment pattern's scaling cone {t >= 0 : N t = 0} has
+its positive circuits as extreme rays; a positive circuit never uses two
+parallel columns, so every pattern's rays are placements of the circuits of
+the direction classes, computed once per enumeration.  Each one-dimensional
+cone is packaged as a single-parameter family: a primitive base matrix
 together with the scalar modulus forced by the target lattice.  Cones of
 dimension two or more are reported verbatim as cone records and flag the
 result inexhaustive.
@@ -33,6 +35,7 @@ from .tropoly import TropPoly, substitute_units
 
 IntMatrix = tuple[tuple[int, ...], ...]
 Assignment = tuple[Optional[int], ...]
+Circuit = tuple[tuple[int, ...], tuple[int, ...]]  # (class labels, coefficients)
 
 
 class NotGeometricError(ValueError):
@@ -153,19 +156,35 @@ def _direction_classes(source: GenMatrix) -> list[tuple[int, tuple[int, ...]]]:
     return reps
 
 
+def _circuit_table(reps: list[tuple[int, tuple[int, ...]]], n: int) -> list[Circuit]:
+    """Every positive circuit of the class directions: the full-support
+    extreme rays on each subset of classes."""
+    table = []
+    for size in range(1, len(reps) + 1):
+        for subset in itertools.combinations(reps, size):
+            N = [[d[i] for _, d in subset] for i in range(n)]
+            labels = tuple(a for a, _ in subset)
+            table.extend((labels, ray) for ray in extreme_rays(N, size) if all(ray))
+    return table
+
+
 def _rays_for_assignment(sigma: Assignment,
-                         class_dirs: dict[int, tuple[int, ...]],
-                         n: int) -> list[tuple[int, ...]]:
-    positions = [b for b, a in enumerate(sigma) if a is not None]
-    if not positions:
-        return []
-    N = [[class_dirs[sigma[b]][i] for b in positions] for i in range(n)]
-    return extreme_rays(N, len(positions))
-
-
-def _ray_worker(args):
-    sigmas, class_dirs, n = args
-    return [(sigma, _rays_for_assignment(sigma, class_dirs, n)) for sigma in sigmas]
+                         circuits: list[Circuit]) -> list[tuple[int, ...]]:
+    """Extreme rays of the assignment's scaling cone, one coordinate per
+    assigned position, lex-sorted: every injective placement of a circuit
+    onto positions that carry its classes."""
+    assigned = [a for a in sigma if a is not None]
+    slots: dict[int, list[int]] = {}
+    for j, a in enumerate(assigned):
+        slots.setdefault(a, []).append(j)
+    rays = []
+    for labels, coeffs in circuits:
+        for choice in itertools.product(*(slots.get(a, ()) for a in labels)):
+            ray = [0] * len(assigned)
+            for j, c in zip(choice, coeffs):
+                ray[j] = c
+            rays.append(tuple(ray))
+    return sorted(rays)
 
 
 def _matrix_from_ray(sigma: Assignment, ray: Sequence[int],
@@ -261,27 +280,18 @@ def _assignment_json(assignment: Assignment) -> list:
     return [None if a is None else a + 1 for a in assignment]
 
 
-def _chunked(iterable, size):
-    it = iter(iterable)
-    while True:
-        chunk = list(itertools.islice(it, size))
-        if not chunk:
-            return
-        yield chunk
-
-
 def enumerate_homs(source: GenMatrix, target_size: int,
-                   target_lattice: Optional[Lattice] = None,
-                   jobs: int = 1) -> HomEnumeration:
+                   target_lattice: Optional[Lattice] = None) -> HomEnumeration:
     """All homomorphism matrices out of the subsemiring generated by the
     source rows, into the full target of the given label count or into the
     subsemiring cut out by the target lattice.
 
     Column-assignment patterns are iterated in lexicographic order (the
-    zero marker first, then direction-class representatives); identical
-    primitive base matrices arising from several patterns are merged; the
-    output is deterministically sorted, so any job count yields identical
-    results.
+    zero marker first, then direction-class representatives); each
+    pattern's extreme rays are placements of the positive circuits, which
+    are computed once per call; identical primitive base matrices arising
+    from several patterns are merged; the output is deterministically
+    sorted.
     """
     if target_size < 1:
         raise ValueError("target label count must be positive")
@@ -290,22 +300,13 @@ def enumerate_homs(source: GenMatrix, target_size: int,
     n = source.n
     reps = _direction_classes(source)
     class_dirs = dict(reps)
+    circuits = _circuit_table(reps, n)
     options: list[Optional[int]] = [None] + [a for a, _ in reps]
-    sigmas = itertools.product(options, repeat=target_size)
-
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            tasks = ((chunk, class_dirs, n) for chunk in _chunked(sigmas, 256))
-            results = [pair for batch in pool.map(_ray_worker, tasks)
-                       for pair in batch]
-    else:
-        results = [(sigma, _rays_for_assignment(sigma, class_dirs, n))
-                   for sigma in sigmas]
 
     families: dict[IntMatrix, HomFamily] = {}
     records: list[ConeRecord] = []
-    for sigma, rays in results:
+    for sigma in itertools.product(options, repeat=target_size):
+        rays = _rays_for_assignment(sigma, circuits)
         if not rays:
             continue
         if len(rays) > 1:
@@ -366,10 +367,7 @@ def hom_from_images(images: Sequence[TropVector], source: GenMatrix) -> Hom:
         raise NotGeometricError(
             "no homomorphism: some image column is not a nonnegative multiple "
             "of a source column")
-    hom = Hom(source, images, witnesses)
-    if geometric_check(hom.images, source) is None:
-        raise AssertionError("post-construction geometric re-check failed")
-    return hom
+    return Hom(source, images, witnesses)
 
 
 def apply_functor(T: Sequence[Sequence[int]], target_gens: GenMatrix) -> tuple[TropVector, ...]:
@@ -465,7 +463,7 @@ class MorphismEnumeration:
         return lines
 
 
-def enumerate_morphisms(from_fan: Fan1D, to_fan: Fan1D, jobs: int = 1) -> MorphismEnumeration:
+def enumerate_morphisms(from_fan: Fan1D, to_fan: Fan1D) -> MorphismEnumeration:
     """All integer matrices defining morphisms from one 1-dimensional fan to
     another, as single-parameter families plus the zero map.
 
@@ -481,7 +479,7 @@ def enumerate_morphisms(from_fan: Fan1D, to_fan: Fan1D, jobs: int = 1) -> Morphi
     MF = weighted_eval_map(to_fan)
     MG = weighted_eval_map(from_fan)
     lattice = Lattice.from_rows(MG.matrix())
-    enum = enumerate_homs(MF, from_fan.n_rays, lattice, jobs=jobs)
+    enum = enumerate_homs(MF, from_fan.n_rays, lattice)
     fams = []
     for fam in enum.families:
         T0 = recover_T([TropVector(r) for r in fam.minimal_member], MG)

@@ -9,6 +9,7 @@ basis of the row lattice, so lattices compare by structural equality.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 IntRow = tuple[int, ...]
@@ -184,11 +185,7 @@ class Lattice:
         coeffs, residue = _reduce_against(self.basis, v, exact=False)
         if any(residue):
             raise LatticeSpanError("vector is outside the rational span of the lattice")
-        lcm = 1
-        for q in coeffs:
-            d = q.denominator
-            lcm = lcm // _gcd(lcm, d) * d
-        return lcm
+        return lcm(*(q.denominator for q in coeffs))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Lattice)
@@ -200,12 +197,6 @@ class Lattice:
 
     def __repr__(self) -> str:
         return f"Lattice(ambient={self.ambient}, basis={[list(r) for r in self.basis]})"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def solve_int(rows: Sequence[Sequence[int]], targets: Sequence[Sequence[int]]) -> IntMatrix:
@@ -241,5 +232,5 @@ def scalar_modulus(base_rows: Sequence[Sequence[int]], lattice: Lattice) -> int:
     e = 1
     for row in base_rows:
         s = lattice.least_multiplier(row)
-        e = e // _gcd(e, s) * s
+        e = lcm(e, s)
     return e

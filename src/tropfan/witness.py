@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .fan import primitive
@@ -28,17 +29,8 @@ def integerize(p: Sequence[Rational]) -> tuple[int, ...]:
     fr = [Fraction(e) for e in p]
     if not any(fr):
         raise ValueError("the zero vector has no direction")
-    lcm = 1
-    for e in fr:
-        d = e.denominator
-        lcm = lcm * d // _gcd(lcm, d)
-    return primitive([int(e * lcm) for e in fr])
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+    scale = lcm(*(e.denominator for e in fr))
+    return primitive([int(e * scale) for e in fr])
 
 
 def orth_basis(p: Sequence[Rational]) -> list[tuple[int, ...]]:

@@ -109,3 +109,43 @@ def box_hom_oracle(source: GenMatrix, target_size: int, lattice, bound: int):
             continue
         out.add(M)
     return out
+
+
+def random_source_with_classes(rng, max_rows=3, max_labels=6):
+    """A random generator matrix whose columns are drawn as zero, as a
+    positive or negative multiple of an earlier nonzero column, or fresh;
+    returns the matrix and the kind of each column."""
+    n = rng.randint(1, max_rows)
+    cols, kinds = [], []
+    for _ in range(rng.randint(1, max_labels)):
+        earlier = [c for c in cols if any(c)]
+        kind = rng.choice(["zero", "parallel", "antiparallel", "fresh", "fresh"])
+        if kind in ("parallel", "antiparallel") and not earlier:
+            kind = "fresh"
+        if kind == "zero":
+            col = (0,) * n
+        elif kind == "fresh":
+            col = (0,) * n
+            while not any(col):
+                col = random_int_vector(rng, n, -2, 2)
+        else:
+            s = rng.randint(1, 3) * (1 if kind == "parallel" else -1)
+            col = tuple(s * e for e in rng.choice(earlier))
+        cols.append(col)
+        kinds.append(kind)
+    return GenMatrix.from_matrix([[c[i] for c in cols] for i in range(n)]), kinds
+
+
+def reference_assignment_rays(sigma, source: GenMatrix):
+    """Extreme rays of one assignment's scaling cone {t >= 0 : N t = 0},
+    one coordinate per assigned position, by double description on the
+    assignment's own column matrix (column: the primitive direction of the
+    source column the position scales).  The enumerator derives the same
+    rays from positive circuits computed once; this is the direct
+    computation it is checked against."""
+    from tropfan import extreme_rays, primitive
+
+    cols = [primitive(source.column(a)) for a in sigma if a is not None]
+    if not cols:
+        return []
+    return extreme_rays([[c[i] for c in cols] for i in range(source.n)], len(cols))

@@ -73,6 +73,25 @@ class TestCheck:
         code, _, err = run("check", str(p))
         assert code == 2 and err
 
+    @pytest.mark.parametrize("name, data", [
+        ("fan.json", {"ambient_dim": 2, "rays": [{"direction": [1.7, 1], "weight": True}]}),
+        ("fan.json", {"ambient_dim": 2, "rays": [{"direction": [1, 1], "weight": True}]}),
+        ("fan.json", {"ambient_dim": 2, "rays": [{"direction": [1, 1], "weight": 1.0}]}),
+        ("fan.json", {"ambient_dim": "2", "rays": [{"direction": [1, 1]}]}),
+        ("fan.json", {"ambient_dim": 2, "rays": [{"direction": ["1", 1]}]}),
+        ("matrix.json", [[1.5, -1]]),
+        ("matrix.json", [[True, -1]]),
+        ("matrix.json", [["1", -1]]),
+    ])
+    def test_non_integer_json_rejected(self, tmp_path, name, data):
+        # a float, bool or numeric string must not be truncated into an integer
+        p = tmp_path / name
+        p.write_text(json.dumps(data))
+        command = ("check", str(p)) if name == "fan.json" else ("homs", str(p), "full:2")
+        code, out, err = run(*command)
+        assert code == 2 and out == ""
+        assert "must be an integer" in err
+
 
 class TestEvalmap:
     def test_reference_matrices(self, fan_files):
@@ -281,3 +300,21 @@ def test_byte_determinism_across_runs(fan_files):
     x, y = fan_files
     outs = {run("morphisms", y, x)[1] for _ in range(3)}
     assert len(outs) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ("homs", "{x}", "full:0"),
+    ("homs", "{x}", "{y}", "--expand", "-1"),
+    ("morphisms", "{y}", "{x}", "--expand", "-1"),
+    ("morphisms", "{empty}", "{x}"),
+    ("morphisms", "{x}", "{empty}"),
+    ("evalmap", "{empty}"),
+    ("homs", "{empty}", "full:2"),
+])
+def test_input_errors_exit_2_without_traceback(fan_files, tmp_path, args):
+    x, y = fan_files
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"ambient_dim": 2, "rays": []}))
+    code, _, err = run(*(a.format(x=x, y=y, empty=empty) for a in args))
+    assert code == 2
+    assert err and "Traceback" not in err

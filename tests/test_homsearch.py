@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,9 +10,11 @@ from tropfan import (Fan1D, GenMatrix, Lattice, NotGeometricError, Ray,
                      enumerate_morphisms, geometric_check, hom_from_images,
                      parse_poly, recover_T, separating_pair, substitute_units,
                      weighted_eval_map)
+from tropfan import homsearch
 
 from helpers import (B1, B2, FAN_X, FAN_Y, box_hom_oracle, column_permutations,
                      genmatrix_x, genmatrix_y, lattice_y, random_degree_zero_row,
+                     random_source_with_classes, reference_assignment_rays,
                      scale_matrix)
 
 
@@ -411,17 +415,45 @@ class TestDeterminismAndJobs:
         b = enumerate_homs(genmatrix_x(), 3, lattice_y()).to_json_lines()
         assert a == b
 
-    def test_parallel_equals_serial(self):
-        serial = enumerate_homs(genmatrix_x(), 3, lattice_y())
-        parallel = enumerate_homs(genmatrix_x(), 3, lattice_y(), jobs=2)
-        assert serial.to_json_lines() == parallel.to_json_lines()
-        sm = enumerate_morphisms(FAN_Y, FAN_X)
-        pm = enumerate_morphisms(FAN_Y, FAN_X, jobs=2)
-        assert sm.to_json_lines() == pm.to_json_lines()
-
-    def test_parallel_with_cone_records(self):
+    def test_cone_records_match_per_assignment_reference(self, monkeypatch):
         gm = GenMatrix.from_matrix([(1, -1)])
-        serial = enumerate_homs(gm, 3)
-        parallel = enumerate_homs(gm, 3, jobs=2)
-        assert serial.to_json_lines() == parallel.to_json_lines()
-        assert parallel.inexhaustive
+        lines = enumerate_homs(gm, 3).to_json_lines()
+        monkeypatch.setattr(homsearch, "_rays_for_assignment",
+                            lambda sigma, circuits: reference_assignment_rays(sigma, gm))
+        reference = enumerate_homs(gm, 3)
+        assert reference.inexhaustive
+        assert lines == reference.to_json_lines()
+
+
+class TestCircuitTable:
+    def test_rays_match_per_assignment_reference(self):
+        rng = random.Random(20240527)
+        kinds, sizes = Counter(), Counter()
+        for _ in range(200):
+            source, col_kinds = random_source_with_classes(rng)
+            kinds.update(col_kinds)
+            m = rng.randint(1, 4)
+            sizes[m] += 1
+            reps = homsearch._direction_classes(source)
+            circuits = homsearch._circuit_table(reps, source.n)
+            options = [None] + [a for a, _ in reps]
+            for sigma in itertools.product(options, repeat=m):
+                assert (homsearch._rays_for_assignment(sigma, circuits)
+                        == reference_assignment_rays(sigma, source)), (source, sigma)
+        assert all(kinds[k] for k in ("zero", "parallel", "antiparallel"))
+        assert set(sizes) == {1, 2, 3, 4}
+
+    def test_double_description_runs_once_per_class_subset(self, monkeypatch):
+        # work-counter gate: 5 classes give at most 2^5 - 1 subsets, where a
+        # scan with one double description per assignment would make 6^5
+        calls = []
+        real = homsearch.extreme_rays
+
+        def counted(N, n_vars):
+            calls.append(n_vars)
+            return real(N, n_vars)
+
+        monkeypatch.setattr(homsearch, "extreme_rays", counted)
+        enum = enumerate_homs(genmatrix_x(), 5)
+        assert len(calls) <= 31
+        assert (len(enum.families), len(enum.cone_records)) == (120, 1500)

@@ -2,9 +2,8 @@
 morphism enumeration, witness construction, polynomial equality.
 
 Exit codes: 0 success, 1 semantic negative (point in support, functions
-unequal), 2 input error (including any ValueError the library raises on
-the given input), 3 inexhaustive enumeration (cone records present and no
---expand bound given).  Enumerations stream JSON lines; rationals
+unequal), 2 input error, 3 inexhaustive enumeration (cone records present
+and no --expand bound given).  Enumerations stream JSON lines; rationals
 are printed as exact "p/q" strings.
 """
 
@@ -69,9 +68,15 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
+def _eval_map(fan: Fan1D, path: str) -> GenMatrix:
+    try:
+        return weighted_eval_map(fan)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
 def cmd_evalmap(args) -> int:
-    fan = _load_fan(args.fan)
-    gm = weighted_eval_map(fan)
+    gm = _eval_map(_load_fan(args.fan), args.fan)
     print(json.dumps([list(r.entries) for r in gm.rows]))
     return EXIT_OK
 
@@ -104,6 +109,8 @@ def cmd_homs(args) -> int:
             size = int(target.split(":", 1)[1])
         except ValueError as exc:
             raise InputError(f"bad target {target!r}: expected full:<size>") from exc
+        if size < 1:
+            raise InputError(f"bad target {target!r}: the size must be positive")
         lattice = None
     else:
         tg = _load_genmatrix(target)
@@ -116,6 +123,8 @@ def cmd_homs(args) -> int:
 def cmd_morphisms(args) -> int:
     from_fan = _load_fan(args.from_fan)
     to_fan = _load_fan(args.to_fan)
+    _eval_map(from_fan, args.from_fan)
+    _eval_map(to_fan, args.to_fan)
     enum = enumerate_morphisms(from_fan, to_fan)
     if args.expand is None:
         for line in enum.to_json_lines():
@@ -245,7 +254,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -43,11 +43,7 @@ class NotGeometricError(ValueError):
 
 
 def _matrix_gcd(M: IntMatrix) -> int:
-    g = 0
-    for row in M:
-        for e in row:
-            g = gcd(g, e)
-    return g
+    return gcd(*(e for row in M for e in row))
 
 
 def _scale_matrix(M: IntMatrix, s: int) -> IntMatrix:
@@ -156,11 +152,13 @@ def _direction_classes(source: GenMatrix) -> list[tuple[int, tuple[int, ...]]]:
     return reps
 
 
-def _circuit_table(reps: list[tuple[int, tuple[int, ...]]], n: int) -> list[Circuit]:
-    """Every positive circuit of the class directions: the full-support
-    extreme rays on each subset of classes."""
+def _circuit_table(reps: list[tuple[int, tuple[int, ...]]], n: int,
+                   target_size: int) -> list[Circuit]:
+    """Every placeable positive circuit of the class directions: the
+    full-support extreme rays on subsets of at most min(n + 1, target_size)
+    classes (a circuit has <= n + 1 columns; placements are injective)."""
     table = []
-    for size in range(1, len(reps) + 1):
+    for size in range(1, min(len(reps), n + 1, target_size) + 1):
         for subset in itertools.combinations(reps, size):
             N = [[d[i] for _, d in subset] for i in range(n)]
             labels = tuple(a for a, _ in subset)
@@ -191,11 +189,8 @@ def _matrix_from_ray(sigma: Assignment, ray: Sequence[int],
                      class_dirs: dict[int, tuple[int, ...]], n: int) -> IntMatrix:
     positions = [b for b, a in enumerate(sigma) if a is not None]
     t = {b: ray[k] for k, b in enumerate(positions)}
-    M = []
-    for i in range(n):
-        M.append(tuple(t.get(b, 0) * class_dirs[sigma[b]][i] if sigma[b] is not None else 0
-                       for b in range(len(sigma))))
-    return tuple(M)
+    return tuple(tuple(0 if a is None else t.get(b, 0) * class_dirs[a][i]
+                       for b, a in enumerate(sigma)) for i in range(n))
 
 
 def _tight_assignment(M: IntMatrix, sigma: Assignment) -> Assignment:
@@ -300,7 +295,7 @@ def enumerate_homs(source: GenMatrix, target_size: int,
     n = source.n
     reps = _direction_classes(source)
     class_dirs = dict(reps)
-    circuits = _circuit_table(reps, n)
+    circuits = _circuit_table(reps, n, target_size)
     options: list[Optional[int]] = [None] + [a for a, _ in reps]
 
     families: dict[IntMatrix, HomFamily] = {}

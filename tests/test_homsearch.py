@@ -435,7 +435,7 @@ class TestCircuitTable:
             m = rng.randint(1, 4)
             sizes[m] += 1
             reps = homsearch._direction_classes(source)
-            circuits = homsearch._circuit_table(reps, source.n)
+            circuits = homsearch._circuit_table(reps, source.n, m)
             options = [None] + [a for a, _ in reps]
             for sigma in itertools.product(options, repeat=m):
                 assert (homsearch._rays_for_assignment(sigma, circuits)
@@ -443,9 +443,8 @@ class TestCircuitTable:
         assert all(kinds[k] for k in ("zero", "parallel", "antiparallel"))
         assert set(sizes) == {1, 2, 3, 4}
 
-    def test_double_description_runs_once_per_class_subset(self, monkeypatch):
-        # work-counter gate: 5 classes give at most 2^5 - 1 subsets, where a
-        # scan with one double description per assignment would make 6^5
+    @staticmethod
+    def count_double_descriptions(monkeypatch):
         calls = []
         real = homsearch.extreme_rays
 
@@ -454,6 +453,28 @@ class TestCircuitTable:
             return real(N, n_vars)
 
         monkeypatch.setattr(homsearch, "extreme_rays", counted)
+        return calls
+
+    def test_double_description_runs_once_per_class_subset(self, monkeypatch):
+        # work-counter gate: 5 classes give at most 2^5 - 1 subsets, where a
+        # scan with one double description per assignment would make 6^5
+        calls = self.count_double_descriptions(monkeypatch)
         enum = enumerate_homs(genmatrix_x(), 5)
         assert len(calls) <= 31
         assert (len(enum.families), len(enum.cone_records)) == (120, 1500)
+
+    def test_many_classes_small_target(self, monkeypatch):
+        # 12 classes into 2 labels: only subsets of at most 2 classes can be
+        # placed, so the table never costs more than the (12 + 1)^2 runs of
+        # one double description per assignment
+        dirs = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1), (1, -1),
+                (-1, 1), (2, 1), (1, 2), (-2, -1), (-1, -2)]
+        gm = GenMatrix.from_matrix([[d[i] for d in dirs] for i in range(2)])
+        calls = self.count_double_descriptions(monkeypatch)
+        lines = enumerate_homs(gm, 2).to_json_lines()
+        assert len(calls) == 12 + 66
+        assert max(calls) <= 2
+        monkeypatch.setattr(homsearch, "_rays_for_assignment",
+                            lambda sigma, circuits: reference_assignment_rays(sigma, gm))
+        assert lines == enumerate_homs(gm, 2).to_json_lines()
+        assert len(lines) == 1 + 12  # zero plus six antipodal pairs, both orders

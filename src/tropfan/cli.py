@@ -34,7 +34,7 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -111,6 +111,8 @@ def cmd_homs(args) -> int:
             raise InputError(f"bad target {target!r}: expected full:<size>") from exc
         if size < 1:
             raise InputError(f"bad target {target!r}: the size must be positive")
+        if size > sys.maxsize:
+            raise InputError(f"bad target {target!r}: the size exceeds {sys.maxsize}")
         lattice = None
     else:
         tg = _load_genmatrix(target)
@@ -220,7 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source", help="generator matrix JSON or fan file")
     p.add_argument("target", help="'full:<size>', generator matrix JSON, or fan file")
     p.add_argument("--expand", type=_bound, metavar="S_MAX",
-                   help="expand families into explicit matrices with parameter <= S_MAX")
+                   help="print explicit matrices instead: family members with "
+                        "parameter <= S_MAX, and cone-record members with every "
+                        "entry in [-S_MAX, S_MAX]")
     p.add_argument("--jobs", type=int, default=1, metavar="K",
                    help="accepted for compatibility and ignored; the scan is serial")
     p.set_defaults(func=cmd_homs)
@@ -229,7 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("from_fan")
     p.add_argument("to_fan")
     p.add_argument("--expand", type=_bound, metavar="K_MAX",
-                   help="expand families into explicit matrices with parameter <= K_MAX")
+                   help="print explicit matrices instead: family members with "
+                        "parameter <= K_MAX, and cone-record members whose image "
+                        "matrix has every entry in [-K_MAX, K_MAX]")
     p.add_argument("--jobs", type=int, default=1, metavar="K",
                    help="accepted for compatibility and ignored; the scan is serial")
     p.set_defaults(func=cmd_morphisms)

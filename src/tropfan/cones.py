@@ -1,4 +1,4 @@
-"""Extreme rays of cones {t >= 0 : N t = 0} by exact double description.
+"""Extreme rays and bounded integer points of cones {t >= 0 : N t = 0}.
 
 The cone is pointed (it sits inside the nonnegative orthant), so its extreme
 rays are well defined and the classic incremental construction applies:
@@ -7,11 +7,17 @@ combine adjacent positive/negative ray pairs.  Adjacency uses the
 combinatorial zero-set test, which is exact for pointed cones.  All
 arithmetic is on Python ints; rays are returned as primitive integer
 vectors, sorted lexicographically.
+
+The integer points of such a cone inside a box 0 <= t <= limits are found
+from one fraction-free elimination of N: the free coordinates are
+enumerated within their limits and the pivot coordinates solved for.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import itertools
+from math import gcd
+from typing import Iterator, Sequence
 
 from .fan import primitive
 
@@ -49,3 +55,50 @@ def extreme_rays(N: Sequence[Sequence[int]], n_vars: int) -> list[tuple[int, ...
                     new.append(comb)
         rays = new
     return sorted(rays)
+
+
+def _clear(w: list[int], piv: list[int], j: int) -> list[int]:
+    """Row w with column j cleared by the pivot row, divided by its content."""
+    r = [piv[j] * a - w[j] * b for a, b in zip(w, piv)]
+    g = gcd(*r)
+    return [e // g for e in r] if g > 1 else r
+
+
+def bounded_points(N: Sequence[Sequence[int]],
+                   limits: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Integer points of {t : N t = 0, 0 <= t_j <= limits[j]}.
+
+    N is brought once to reduced echelon form by integer row operations.
+    Pivots are taken on the columns with the largest limits, so the free
+    columns, whose coordinates are enumerated, have the smallest.  Each
+    pivot coordinate is then -(sum of c_f t_f) / d_j over the free columns
+    f; a point is kept only if every such division is exact and lands in
+    [0, limits[j]].
+    """
+    p = len(limits)
+    pending = [list(w) for w in N]
+    if any(len(w) != p for w in pending):
+        raise ValueError("constraint length disagrees with variable count")
+    pivots: list[tuple[int, list[int]]] = []
+    for j in sorted(range(p), key=lambda c: -limits[c]):
+        i = next((i for i, w in enumerate(pending) if w[j]), None)
+        if i is None:
+            continue
+        piv = pending.pop(i)
+        pending = [_clear(w, piv, j) if w[j] else w for w in pending]
+        pivots = [(c, _clear(w, piv, j) if w[j] else w) for c, w in pivots]
+        pivots.append((j, piv))
+    pivot_cols = {c for c, _ in pivots}
+    free = [f for f in range(p) if f not in pivot_cols]
+    solve = [(j, w[j], [(f, w[f]) for f in free if w[f]]) for j, w in pivots]
+    for ks in itertools.product(*(range(limits[f] + 1) for f in free)):
+        t = [0] * p
+        for f, k in zip(free, ks):
+            t[f] = k
+        for j, d, coeffs in solve:
+            q, r = divmod(-sum(c * t[f] for f, c in coeffs), d)
+            if r or not 0 <= q <= limits[j]:
+                break
+            t[j] = q
+        else:
+            yield tuple(t)

@@ -14,7 +14,8 @@ the direction classes, computed once per enumeration.  Each one-dimensional
 cone is packaged as a single-parameter family: a primitive base matrix
 together with the scalar modulus forced by the target lattice.  Cones of
 dimension two or more are reported verbatim as cone records and flag the
-result inexhaustive.
+result inexhaustive; within an entry bound they are completed exactly by
+enumerating the bounded integer points of each record's kernel.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, Optional, Sequence
 
-from .cones import extreme_rays
+from .cones import bounded_points, extreme_rays
 from .fan import Fan1D, GenMatrix, check_balancing, primitive, weighted_eval_map
 from .lattice import Lattice, LatticeSpanError, scalar_modulus, solve_int
 from .maxplus import TropVector
@@ -203,7 +204,8 @@ def _tight_assignment(M: IntMatrix, sigma: Assignment) -> Assignment:
 class HomEnumeration:
     """Complete answer set: the zero matrix, the single-parameter families,
     and cone records for multi-parameter assignments (if any, the result is
-    inexhaustive until expanded by brute force within an entry bound)."""
+    inexhaustive until their kernel points are enumerated within an entry
+    bound)."""
 
     n: int
     target_size: int
@@ -228,15 +230,23 @@ class HomEnumeration:
         return out
 
     def expand_cones(self, entry_bound: int) -> set[IntMatrix]:
-        """Brute-force integer members of the recorded cones within the
-        entry bound (lattice condition applied)."""
+        """Integer members of the recorded cones within the entry bound
+        (lattice condition applied).
+
+        A member scales assigned slot b by k_b, so k is an integer point of
+        {k : sum_b k_b d_b = 0, 0 <= k_b <= entry_bound // max|d_b|} for the
+        slots' class directions d_b; those points are enumerated by
+        cones.bounded_points, once per distinct direction sequence."""
         out: set[IntMatrix] = set()
         class_dirs = dict(_direction_classes(self.source))
+        points: dict[tuple[tuple[int, ...], ...], list[tuple[int, ...]]] = {}
         for rec in self.cone_records:
-            positions = [b for b, a in enumerate(rec.assignment) if a is not None]
-            prims = [class_dirs[rec.assignment[b]] for b in positions]
-            limits = [entry_bound // max(abs(e) for e in p) for p in prims]
-            for ks in itertools.product(*(range(lim + 1) for lim in limits)):
+            prims = tuple(class_dirs[a] for a in rec.assignment if a is not None)
+            if prims not in points:
+                N = [[d[i] for d in prims] for i in range(self.n)]
+                limits = [entry_bound // max(abs(e) for e in d) for d in prims]
+                points[prims] = list(bounded_points(N, limits))
+            for ks in points[prims]:
                 M = _matrix_from_ray(rec.assignment, ks, class_dirs, self.n)
                 if any(sum(row) for row in M):
                     continue
@@ -250,7 +260,8 @@ class HomEnumeration:
     def expand(self, entry_bound: int) -> set[IntMatrix]:
         """The exact set of homomorphism matrices with entries in
         [-entry_bound, entry_bound]; exact even for inexhaustive results,
-        because cone records are completed by brute force within the bound."""
+        because every integer point of each cone record's kernel within the
+        bound is enumerated."""
         return self.expand_families(entry_bound) | self.expand_cones(entry_bound)
 
     def to_json_lines(self) -> list[str]:

@@ -149,3 +149,43 @@ def reference_assignment_rays(sigma, source: GenMatrix):
     if not cols:
         return []
     return extreme_rays([[c[i] for c in cols] for i in range(source.n)], len(cols))
+
+
+def reference_expand_cones(enum, bound):
+    """Integer members of an enumeration's cone records within the entry
+    bound, by scanning the whole box prod_b [0, bound // max|d_b|] of slot
+    scales and keeping the matrices whose rows sum to zero and lie in the
+    target lattice.  The enumerator solves the kernel of the slot directions
+    instead; this is the direct search it is checked against."""
+    import itertools
+    from tropfan import homsearch
+
+    out = set()
+    class_dirs = dict(homsearch._direction_classes(enum.source))
+    for rec in enum.cone_records:
+        prims = [class_dirs[a] for a in rec.assignment if a is not None]
+        limits = [bound // max(abs(e) for e in p) for p in prims]
+        for ks in itertools.product(*(range(lim + 1) for lim in limits)):
+            M = homsearch._matrix_from_ray(rec.assignment, ks, class_dirs, enum.n)
+            if any(sum(row) for row in M):
+                continue
+            if enum.target_lattice is not None and not all(
+                    row in enum.target_lattice for row in M):
+                continue
+            out.add(M)
+    out.discard(enum.zero_matrix)
+    return out
+
+
+def reference_expand_T(menum, bound):
+    """MorphismEnumeration.expand_T computed from reference_expand_cones:
+    the zero map, family parameters 1..bound, and the cone members within
+    the entry bound rewritten in generator coordinates."""
+    from tropfan import TropVector, recover_T
+
+    out = {tuple((0,) * menum.target_gens.n for _ in range(menum.homs.n))}
+    for fam in menum.families:
+        out.update(fam.matrix_for(k) for k in range(1, bound + 1))
+    for M in reference_expand_cones(menum.homs, bound):
+        out.add(recover_T([TropVector(row) for row in M], menum.target_gens))
+    return out

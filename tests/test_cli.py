@@ -310,11 +310,15 @@ def test_byte_determinism_across_runs(fan_files):
     ("morphisms", "{x}", "{empty}"),
     ("evalmap", "{empty}"),
     ("homs", "{empty}", "full:2"),
+    ("check", "{binary}"),
+    ("homs", "{x}", "full:99999999999999999999"),
 ])
 def test_input_errors_exit_2_without_traceback(fan_files, tmp_path, args):
     x, y = fan_files
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({"ambient_dim": 2, "rays": []}))
-    code, _, err = run(*(a.format(x=x, y=y, empty=empty) for a in args))
+    binary = tmp_path / "bin.json"
+    binary.write_bytes(b"\xff\xfe")
+    code, _, err = run(*(a.format(x=x, y=y, empty=empty, binary=binary) for a in args))
     assert code == 2
     assert err and "Traceback" not in err

@@ -2,7 +2,10 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from tropfan import extreme_rays
+from tropfan.cones import bounded_points
 
 
 def cone_contains(N, t):
@@ -91,3 +94,34 @@ def test_against_brute_force():
         small = {r for r in got if max(r) <= 4}
         if small == got:  # oracle box saw everything
             assert got == brute_force_rays(N, n_vars)
+
+
+def test_bounded_points_against_box_scan():
+    # zero columns, repeated and opposite columns, rank below the row count
+    # and zero limits all occur among these draws
+    rng = random.Random(11)
+    for _ in range(300):
+        n_vars = rng.randint(1, 5)
+        cols = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(n_vars)]
+        if rng.random() < 0.3:
+            cols = [tuple(c[0] * u for u in (1, 2, -1)) for c in cols]
+        N = [[c[i] for c in cols] for i in range(3)]
+        limits = [rng.randint(0, 4) for _ in range(n_vars)]
+        box = itertools.product(*(range(lim + 1) for lim in limits))
+        expected = {t for t in box if cone_contains(N, t)}
+        got = list(bounded_points(N, limits))
+        assert len(got) == len(set(got))
+        assert set(got) == expected, (N, limits)
+
+
+def test_bounded_points_small_cases():
+    # x + y - z = 0: z, the coordinate with the largest limit, is solved for
+    pts = list(bounded_points([[1, 1, -1]], [2, 3, 99]))
+    assert sorted(pts) == sorted((x, y, x + y) for x in range(3) for y in range(4))
+    assert list(bounded_points([[1, -1]], [0, 5])) == [(0, 0)]
+    assert list(bounded_points([[0, 0]], [1, 1])) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def test_bounded_points_rejects_ragged_constraints():
+    with pytest.raises(ValueError):
+        list(bounded_points([[1, 2]], [1, 1, 1]))

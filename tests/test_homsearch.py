@@ -15,7 +15,7 @@ from tropfan import homsearch
 from helpers import (B1, B2, FAN_X, FAN_Y, box_hom_oracle, column_permutations,
                      genmatrix_x, genmatrix_y, lattice_y, random_degree_zero_row,
                      random_source_with_classes, reference_assignment_rays,
-                     scale_matrix)
+                     reference_expand_cones, reference_expand_T, scale_matrix)
 
 
 def vecs(matrix):
@@ -184,8 +184,8 @@ class TestReverseDirection:
     def test_five_slot_target_is_cone_only(self):
         # mapping the 2-generator semiring into the 5-label one: every
         # in-box solution repeats column classes, so all tight cones are
-        # multi-parameter and the family list is empty; the brute-force
-        # completion still matches the oracle exactly
+        # multi-parameter and the family list is empty; enumerating the
+        # kernel points of each cone record still matches the oracle exactly
         L = Lattice.from_rows(list(genmatrix_x().matrix()))
         enum = enumerate_homs(genmatrix_y(), 5, L)
         assert enum.families == ()
@@ -478,3 +478,112 @@ class TestCircuitTable:
                             lambda sigma, circuits: reference_assignment_rays(sigma, gm))
         assert lines == enumerate_homs(gm, 2).to_json_lines()
         assert len(lines) == 1 + 12  # zero plus six antipodal pairs, both orders
+
+
+def planar_source(rng):
+    """A random source in R^3 whose directions all lie in one plane: random
+    planar columns (zero, parallel, antiparallel or fresh) pushed through an
+    injective integer 3x2 matrix, so the column rank is below the row count."""
+    flat, kinds = random_source_with_classes(rng, max_rows=2, max_labels=5)
+    while True:
+        u, v = (tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(2))
+        if any(u[i] * v[j] - u[j] * v[i] for i, j in ((0, 1), (0, 2), (1, 2))):
+            break
+    flat_cols = [flat.column(a) for a in range(flat.n_labels)]
+    cols = [tuple(c[0] * u[i] + (c[1] if len(c) > 1 else 0) * v[i]
+                  for i in range(3)) for c in flat_cols]
+    return GenMatrix.from_matrix([[c[i] for c in cols] for i in range(3)]), kinds
+
+
+def box_size(enum, bound):
+    dirs = dict(homsearch._direction_classes(enum.source))
+    total = 0
+    for rec in enum.cone_records:
+        size = 1
+        for a in rec.assignment:
+            if a is not None:
+                size *= bound // max(abs(e) for e in dirs[a]) + 1
+        total += size
+    return total
+
+
+def fan_of(rays):
+    return Fan1D(len(rays[0][0]), [Ray(d, w) for d, w in rays])
+
+
+# Fan morphisms of the expand benchmark suite: (source, destination, bound).
+EXPAND_MORPHS = [
+    ([((-1, -1), 1), ((-1, 2), 1), ((2, -1), 1)],
+     [((1, -2), 1), ((-1, 1), 4), ((1, -1), 2), ((1, 2), 1), ((0, -1), 2)], 2),
+    ([((-1, 1), 1), ((1, -2), 1), ((-1, 2), 1), ((1, -1), 1)],
+     [((-1, 0), 2), ((-1, -2), 2), ((1, 2), 2), ((1, 0), 2)], 2),
+    ([((-3, -2), 1), ((1, 0), 1), ((1, 1), 2)],
+     [((-1, -1), 4), ((1, 0), 2), ((1, 1), 2), ((0, 1), 2)], 3),
+    ([((1, -1), 2), ((-2, 1), 1), ((0, 1), 1)],
+     [((1, -1), 2), ((-3, 2), 2), ((2, -1), 2)], 2),
+    ([((2, 1), 2), ((-1, 0), 2), ((-2, -1), 2), ((1, 0), 2)],
+     [((0, -1), 2), ((-1, 0), 1), ((0, 1), 2), ((-2, 1), 1), ((3, -1), 1)], 1),
+]
+
+
+class TestKernelExpansion:
+    def test_expand_cones_matches_box_reference(self):
+        # the bound is lowered only where the reference's box would exceed
+        # BUDGET candidates, to keep the reference scan short
+        BUDGET = 20_000
+        rng = random.Random(20241018)
+        kinds, sizes, bounds = Counter(), Counter(), Counter()
+        planar = with_lattice = with_records = members = 0
+        for i in range(320):
+            if i % 4 == 3:
+                source, col_kinds = planar_source(rng)
+                planar += 1
+            else:
+                source, col_kinds = random_source_with_classes(rng, max_labels=5)
+            kinds.update(col_kinds)
+            m = rng.randint(2, 5)
+            lattice = None
+            if rng.random() < 0.5:
+                gens = [random_degree_zero_row(rng, m) for _ in range(rng.randint(1, 2))]
+                lattice = Lattice.from_rows(gens)
+                with_lattice += 1
+            enum = enumerate_homs(source, m, lattice)
+            bound = rng.randint(0, 6)
+            while box_size(enum, bound) > BUDGET:
+                bound -= 1
+            sizes[m] += 1
+            bounds[bound] += 1
+            with_records += bool(enum.cone_records)
+            mine = enum.expand_cones(bound)
+            assert mine == reference_expand_cones(enum, bound), (source, m, lattice, bound)
+            members += len(mine)
+        assert all(kinds[k] for k in ("zero", "parallel", "antiparallel"))
+        assert set(sizes) == {2, 3, 4, 5}
+        assert set(bounds) == set(range(7))
+        assert planar >= 80 and 100 <= with_lattice <= 220
+        assert with_records >= 60 and members >= 1000
+
+    def test_expand_T_matches_reference_on_benchmark_pairs(self):
+        cone_members = 0
+        for src, dst, bound in EXPAND_MORPHS:
+            menum = enumerate_morphisms(fan_of(src), fan_of(dst))
+            assert menum.expand_T(bound) == reference_expand_T(menum, bound)
+            cone_members += len(reference_expand_cones(menum.homs, bound))
+        assert cone_members
+
+    def test_candidate_count_gate(self, monkeypatch):
+        # work-counter gate: Y -> 5 labels into the X lattice at bound 4
+        # builds 157,500 candidate matrices by a search over the whole box;
+        # solving the kernel leaves a few thousand
+        enum = enumerate_homs(genmatrix_y(), 5, Lattice.from_rows(list(genmatrix_x().matrix())))
+        built = []
+        real = homsearch._matrix_from_ray
+
+        def counted(*args):
+            built.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(homsearch, "_matrix_from_ray", counted)
+        members = enum.expand_cones(4)
+        assert len(built) <= 2500
+        assert len(members) == 4

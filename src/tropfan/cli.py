@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "parameter <= S_MAX, and cone-record members with every "
                         "entry in [-S_MAX, S_MAX]")
     p.add_argument("--jobs", type=int, default=1, metavar="K",
-                   help="accepted for compatibility and ignored; the scan is serial")
+                   help="accepted for compatibility and ignored")
     p.set_defaults(func=cmd_homs)
 
     p = sub.add_parser("morphisms", help="enumerate fan-morphism matrix families")
@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "parameter <= K_MAX, and cone-record members whose image "
                         "matrix has every entry in [-K_MAX, K_MAX]")
     p.add_argument("--jobs", type=int, default=1, metavar="K",
-                   help="accepted for compatibility and ignored; the scan is serial")
+                   help="accepted for compatibility and ignored")
     p.set_defaults(func=cmd_morphisms)
 
     p = sub.add_parser("witness", help="separating witness for a point against a fan")

@@ -10,12 +10,15 @@ the codomain to a subsemiring adds a lattice-membership condition on the
 rows.  Each column-assignment pattern's scaling cone {t >= 0 : N t = 0} has
 its positive circuits as extreme rays; a positive circuit never uses two
 parallel columns, so every pattern's rays are placements of the circuits of
-the direction classes, computed once per enumeration.  Each one-dimensional
-cone is packaged as a single-parameter family: a primitive base matrix
-together with the scalar modulus forced by the target lattice.  Cones of
-dimension two or more are reported verbatim as cone records and flag the
-result inexhaustive; within an entry bound they are completed exactly by
-enumerating the bounded integer points of each record's kernel.
+the direction classes, computed once per enumeration.  A placement alone
+spans a one-dimensional cone, packaged as a single-parameter family: a
+primitive base matrix together with the scalar modulus forced by the target
+lattice.  Patterns admitting two or more placements span cones of dimension
+two or more; they are reported verbatim as cone records and flag the result
+inexhaustive; within an entry bound they are completed exactly by
+enumerating the bounded integer points of each record's kernel.  No step
+iterates all (classes + 1)^m patterns: records are built only for the class
+multisets that admit two or more placements.
 """
 
 from __future__ import annotations
@@ -23,10 +26,11 @@ from __future__ import annotations
 import itertools
 import json
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterator, Optional, Sequence
+from math import gcd, prod
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .cones import bounded_points, extreme_rays
 from .fan import Fan1D, GenMatrix, check_balancing, primitive, weighted_eval_map
@@ -167,25 +171,6 @@ def _circuit_table(reps: list[tuple[int, tuple[int, ...]]], n: int,
     return table
 
 
-def _rays_for_assignment(sigma: Assignment,
-                         circuits: list[Circuit]) -> list[tuple[int, ...]]:
-    """Extreme rays of the assignment's scaling cone, one coordinate per
-    assigned position, lex-sorted: every injective placement of a circuit
-    onto positions that carry its classes."""
-    assigned = [a for a in sigma if a is not None]
-    slots: dict[int, list[int]] = {}
-    for j, a in enumerate(assigned):
-        slots.setdefault(a, []).append(j)
-    rays = []
-    for labels, coeffs in circuits:
-        for choice in itertools.product(*(slots.get(a, ()) for a in labels)):
-            ray = [0] * len(assigned)
-            for j, c in zip(choice, coeffs):
-                ray[j] = c
-            rays.append(tuple(ray))
-    return sorted(rays)
-
-
 def _matrix_from_ray(sigma: Assignment, ray: Sequence[int],
                      class_dirs: dict[int, tuple[int, ...]], n: int) -> IntMatrix:
     positions = [b for b, a in enumerate(sigma) if a is not None]
@@ -194,10 +179,26 @@ def _matrix_from_ray(sigma: Assignment, ray: Sequence[int],
                        for b, a in enumerate(sigma)) for i in range(n))
 
 
-def _tight_assignment(M: IntMatrix, sigma: Assignment) -> Assignment:
-    """The canonical assignment of a matrix: Zero where its column vanishes."""
-    cols = list(zip(*M))
-    return tuple(sigma[b] if any(cols[b]) else None for b in range(len(sigma)))
+def _spread(labels_at: Iterable[tuple[int, int]], m: int) -> Assignment:
+    """The assignment of m slots with the given (slot, label) pairs; the
+    other slots are unassigned."""
+    at = dict(labels_at)
+    return tuple(at.get(b) for b in range(m))
+
+
+def _arrangements(counts: Sequence[tuple[int, int]],
+                  free: Sequence[int]) -> Iterator[dict[int, tuple[int, ...]]]:
+    """Every way to give each label its count of the free slots, disjointly,
+    as label -> slots."""
+    if not counts:
+        yield {}
+        return
+    (a, k), rest = counts[0], counts[1:]
+    for chosen in itertools.combinations(free, k):
+        left = [b for b in free if b not in chosen]
+        for slots in _arrangements(rest, left):
+            slots[a] = chosen
+            yield slots
 
 
 @dataclass(frozen=True)
@@ -292,12 +293,14 @@ def enumerate_homs(source: GenMatrix, target_size: int,
     source rows, into the full target of the given label count or into the
     subsemiring cut out by the target lattice.
 
-    Column-assignment patterns are iterated in lexicographic order (the
-    zero marker first, then direction-class representatives); each
-    pattern's extreme rays are placements of the positive circuits, which
-    are computed once per call; identical primitive base matrices arising
-    from several patterns are merged; the output is deterministically
-    sorted.
+    The positive circuits of the direction classes are computed once.  Each
+    injective placement of a circuit into the target labels is one family
+    (dropped when no multiple of it meets the target lattice).  An
+    assignment's scaling cone is spanned by the placements it admits, and
+    their number depends only on how many labels the assignment gives each
+    class, so cone records are built only for the class multisets that admit
+    two or more placements, from the placement matrices already computed.
+    The output is deterministically sorted.
     """
     if target_size < 1:
         raise ValueError("target label count must be positive")
@@ -307,33 +310,44 @@ def enumerate_homs(source: GenMatrix, target_size: int,
     reps = _direction_classes(source)
     class_dirs = dict(reps)
     circuits = _circuit_table(reps, n, target_size)
-    options: list[Optional[int]] = [None] + [a for a, _ in reps]
 
-    families: dict[IntMatrix, HomFamily] = {}
+    placed: list[dict[tuple[int, ...], IntMatrix]] = []
+    families: list[HomFamily] = []
+    for labels, coeffs in circuits:
+        placed.append({})
+        for positions in itertools.permutations(range(target_size), len(labels)):
+            sigma = _spread(zip(positions, labels), target_size)
+            ray = [t for _, t in sorted(zip(positions, coeffs))]
+            M0 = placed[-1][positions] = _matrix_from_ray(sigma, ray, class_dirs, n)
+            assert _matrix_gcd(M0) == 1  # primitive ray => primitive matrix
+            if target_lattice is None:
+                modulus = 1
+            else:
+                try:
+                    modulus = scalar_modulus(M0, target_lattice)
+                except LatticeSpanError:
+                    continue
+            families.append(HomFamily(sigma, M0, modulus))
+
     records: list[ConeRecord] = []
-    for sigma in itertools.product(options, repeat=target_size):
-        rays = _rays_for_assignment(sigma, circuits)
-        if not rays:
+    options = [a for a, _ in reps]
+    # without a circuit nothing is placed, so no multiset needs a visit
+    multisets = (itertools.combinations_with_replacement([None] + options, target_size)
+                 if circuits else ())
+    for multiset in multisets:
+        count = Counter(multiset)
+        live = [(placed[c], labels) for c, (labels, _) in enumerate(circuits)
+                if all(count[a] for a in labels)]
+        if sum(prod(count[a] for a in labels) for _, labels in live) < 2:
             continue
-        if len(rays) > 1:
-            bases = tuple(sorted(_matrix_from_ray(sigma, r, class_dirs, n)
-                                 for r in rays))
-            records.append(ConeRecord(sigma, bases))
-            continue
-        M0 = _matrix_from_ray(sigma, rays[0], class_dirs, n)
-        if M0 in families:
-            continue
-        assert _matrix_gcd(M0) == 1  # primitive ray => primitive matrix
-        if target_lattice is None:
-            modulus = 1
-        else:
-            try:
-                modulus = scalar_modulus(M0, target_lattice)
-            except LatticeSpanError:
-                continue
-        families[M0] = HomFamily(_tight_assignment(M0, sigma), M0, modulus)
+        for slots in _arrangements([(a, count[a]) for a in options if count[a]],
+                                   range(target_size)):
+            sigma = _spread(((b, a) for a, bs in slots.items() for b in bs), target_size)
+            bases = sorted(mats[choice] for mats, labels in live
+                           for choice in itertools.product(*(slots[a] for a in labels)))
+            records.append(ConeRecord(sigma, tuple(bases)))
 
-    fams = tuple(sorted(families.values(), key=HomFamily.sort_key))
+    fams = tuple(sorted(families, key=HomFamily.sort_key))
     recs = tuple(sorted(records, key=ConeRecord.sort_key))
     return HomEnumeration(n, target_size, source, target_lattice, fams, recs)
 

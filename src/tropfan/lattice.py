@@ -12,6 +12,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
+from .maxplus import exact_int
+
 IntRow = tuple[int, ...]
 IntMatrix = tuple[IntRow, ...]
 
@@ -44,7 +46,7 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _as_matrix(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    out = [[int(e) for e in row] for row in rows]
+    out = [[exact_int(e) for e in row] for row in rows]
     if out and any(len(r) != len(out[0]) for r in out):
         raise ValueError("rows have unequal lengths")
     return out
@@ -110,11 +112,12 @@ def _reduce_against(H: IntMatrix, v: Sequence[int], exact: bool):
     """Forward-substitute v against echelon H.
 
     Returns (coeffs, residue): coeffs has one entry per row of H (zero for
-    zero rows).  With exact=True coefficients are ints and None is returned
-    instead when an entry fails to divide; with exact=False they are
-    Fractions and only rational-span failure leaves a nonzero residue.
+    zero rows).  With exact=True v must hold integers (ValueError otherwise),
+    coefficients are ints and None is returned instead when an entry fails
+    to divide; with exact=False they are Fractions and only rational-span
+    failure leaves a nonzero residue.
     """
-    vv = [Fraction(e) if not exact else int(e) for e in v]
+    vv = [exact_int(e) for e in v] if exact else [Fraction(e) for e in v]
     coeffs = [0 if exact else Fraction(0)] * len(H)
     for i, j in _pivots(H):
         p = H[i][j]

@@ -11,6 +11,7 @@ entrywise negation.
 
 from __future__ import annotations
 
+from numbers import Rational
 from typing import Iterable, Iterator, Optional
 
 
@@ -20,6 +21,17 @@ class LabelMismatchError(ValueError):
 
 class NotAUnitError(ValueError):
     """Raised when inverting a vector of nonzero (or bottom) degree."""
+
+
+def exact_int(value) -> int:
+    """An integer entry as an int; bools, floats and non-integral rationals
+    are refused rather than truncated, because exactness is the contract."""
+    if type(value) is int:
+        return value
+    if isinstance(value, Rational) and not isinstance(value, bool) \
+            and value.denominator == 1:
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
 
 
 def ext_max(a: Optional[int], b: Optional[int]) -> Optional[int]:
@@ -54,7 +66,9 @@ class TropVector:
             object.__setattr__(self, "entries", None)
             object.__setattr__(self, "size", size)
         else:
-            tup = tuple(int(e) for e in entries)
+            tup = tuple(entries)
+            if not all(type(e) is int for e in tup):
+                tup = tuple(map(exact_int, tup))
             if size is not None and size != len(tup):
                 raise ValueError("size disagrees with number of entries")
             object.__setattr__(self, "entries", tup)

@@ -151,6 +151,44 @@ def reference_assignment_rays(sigma, source: GenMatrix):
     return extreme_rays([[c[i] for c in cols] for i in range(source.n)], len(cols))
 
 
+def reference_enumerate_homs(source: GenMatrix, target_size: int, lattice=None):
+    """enumerate_homs by scanning every one of the (classes + 1)^m column
+    assignments: each assignment's rays come from reference_assignment_rays;
+    a single ray gives a family (bases merged across assignments, columns
+    outside the ray's support unassigned), several rays a cone record.  The
+    enumerator builds the same output from circuit placements alone; this is
+    the direct scan it is checked against."""
+    import itertools
+    from tropfan import HomEnumeration, homsearch
+    from tropfan.lattice import LatticeSpanError, scalar_modulus
+
+    n = source.n
+    reps = homsearch._direction_classes(source)
+    class_dirs = dict(reps)
+    families, records = {}, []
+    for sigma in itertools.product([None] + [a for a, _ in reps], repeat=target_size):
+        rays = sorted(reference_assignment_rays(sigma, source))
+        if len(rays) > 1:
+            bases = sorted(homsearch._matrix_from_ray(sigma, r, class_dirs, n) for r in rays)
+            records.append(homsearch.ConeRecord(sigma, tuple(bases)))
+        elif rays:
+            M0 = homsearch._matrix_from_ray(sigma, rays[0], class_dirs, n)
+            if M0 in families:
+                continue
+            modulus = 1
+            if lattice is not None:
+                try:
+                    modulus = scalar_modulus(M0, lattice)
+                except LatticeSpanError:
+                    continue
+            cols = list(zip(*M0))
+            tight = tuple(a if any(cols[b]) else None for b, a in enumerate(sigma))
+            families[M0] = homsearch.HomFamily(tight, M0, modulus)
+    fams = tuple(sorted(families.values(), key=homsearch.HomFamily.sort_key))
+    recs = tuple(sorted(records, key=homsearch.ConeRecord.sort_key))
+    return HomEnumeration(n, target_size, source, lattice, fams, recs)
+
+
 def reference_expand_cones(enum, bound):
     """Integer members of an enumeration's cone records within the entry
     bound, by scanning the whole box prod_b [0, bound // max|d_b|] of slot

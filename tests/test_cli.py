@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 DATA = Path(__file__).parent / "data"
 
@@ -322,3 +323,91 @@ def test_input_errors_exit_2_without_traceback(fan_files, tmp_path, args):
     code, _, err = run(*(a.format(x=x, y=y, empty=empty, binary=binary) for a in args))
     assert code == 2
     assert err and "Traceback" not in err
+
+
+# Fuzzing: random argv over every subcommand, with small random fan and
+# matrix files, run in process.  Whatever the input, the CLI must end with a
+# documented exit code and never with a traceback.  Sizes stay small (at
+# most 4 labels, entries in [-3, 3], bounds up to 4) so every example is fast.
+
+_small = st.integers(-3, 3)
+_entry = st.one_of(_small, _small, _small, st.booleans(),
+                   st.sampled_from([0.5, 2.0, "1", None, [1]]))
+_junk_fan = st.fixed_dictionaries({
+    "ambient_dim": st.one_of(st.integers(0, 3), _entry),
+    "rays": st.lists(st.fixed_dictionaries({
+        "direction": st.lists(_entry, max_size=3),
+        "weight": st.one_of(st.integers(1, 3), _entry)}), max_size=4)})
+_fan = st.integers(1, 3).flatmap(lambda d: st.fixed_dictionaries({
+    "ambient_dim": st.just(d),
+    "rays": st.lists(st.fixed_dictionaries({
+        "direction": st.lists(_small, min_size=d, max_size=d),
+        "weight": st.integers(1, 3)}), min_size=1, max_size=4)}))
+_matrix = st.tuples(st.integers(1, 3), st.integers(1, 4)).flatmap(
+    lambda shape: st.lists(st.lists(_small, min_size=shape[1], max_size=shape[1]),
+                           min_size=shape[0], max_size=shape[0]))
+_junk_matrix = st.lists(st.lists(_entry, max_size=4), max_size=3)
+_file = st.one_of(
+    _fan.map(json.dumps), _fan.map(json.dumps), _matrix.map(json.dumps),
+    _matrix.map(json.dumps), _junk_fan.map(json.dumps), _junk_matrix.map(json.dumps),
+    st.sampled_from([json.dumps(X_FAN), json.dumps(Y_FAN), "", "{", "[]", "{}", "7"]),
+    st.text(max_size=10),
+).map(lambda text: text.encode()) | st.binary(max_size=6)
+
+_path = st.sampled_from(["{a}", "{a}", "{b}", "{b}", "{missing}"])
+_number = st.one_of(st.integers(0, 4).map(str), st.integers(0, 4).map(str),
+                    st.sampled_from(["-1", "x", "1.5", ""]))
+_target = _path | _number.map(lambda s: "full:" + s) | st.just("full")
+_point = st.lists(st.sampled_from(["0", "1", "-2", "1/2", "-3/4", "1/0", "a", ""]),
+                  min_size=1, max_size=4).map(",".join)
+_poly = st.sampled_from(["x1", "x1 + x2", "x1^-2*x3 + 0", "0", "x2^3 + x1*x2",
+                         "x4", "x0", "x1 +", "", "*", "x1^", "2"])
+_expand = st.lists(st.tuples(st.sampled_from(["--expand", "--jobs"]), _number)
+                   .map(list), max_size=2).map(lambda opts: sum(opts, []))
+_structured = st.one_of(
+    st.tuples(st.just("check"), _path).map(list),
+    st.tuples(st.just("evalmap"), _path).map(list),
+    st.tuples(st.just("homs"), _path, _target, _expand).map(lambda t: [*t[:3], *t[3]]),
+    st.tuples(st.just("morphisms"), _path, _path, _expand).map(lambda t: [*t[:3], *t[3]]),
+    st.tuples(st.just("witness"), _path, _point).map(list),
+    st.tuples(st.just("polyeq"),
+              st.sampled_from(["--on-fan"]).map(lambda f: [f, "{a}"])
+              | _number.map(lambda n: ["--on-space", n]),
+              _poly, _poly).map(lambda t: [t[0], *t[1], t[2], t[3]]),
+)
+_token = _path | _number | _target | _point | _poly | st.sampled_from(
+    ["check", "evalmap", "homs", "morphisms", "witness", "polyeq", "--expand",
+     "--jobs", "--on-fan", "--on-space", "--help", "-"])
+_argv = _structured | _structured | st.lists(_token, max_size=6)
+
+
+def _main_in_process(argv):
+    from contextlib import redirect_stderr, redirect_stdout
+    import io
+    import warnings
+
+    from tropfan.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(a=_file, b=_file, argv=_argv)
+def test_fuzzed_argv_exits_with_documented_code(a, b, argv):
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"a": Path(tmp) / "a.json", "b": Path(tmp) / "b.json",
+                 "missing": Path(tmp) / "missing.json"}
+        paths["a"].write_bytes(a)
+        paths["b"].write_bytes(b)
+        code, err = _main_in_process([arg.format(**paths) for arg in argv])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err

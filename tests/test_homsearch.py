@@ -2,6 +2,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,12 +15,32 @@ from tropfan import homsearch
 
 from helpers import (B1, B2, FAN_X, FAN_Y, box_hom_oracle, column_permutations,
                      genmatrix_x, genmatrix_y, lattice_y, random_degree_zero_row,
-                     random_source_with_classes, reference_assignment_rays,
+                     random_source_with_classes, reference_enumerate_homs,
                      reference_expand_cones, reference_expand_T, scale_matrix)
 
 
 def vecs(matrix):
     return [TropVector(row) for row in matrix]
+
+
+def count_calls(monkeypatch, name):
+    """Replace homsearch.<name> by a wrapper that records each call's
+    arguments in the returned list."""
+    calls = []
+    real = getattr(homsearch, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(homsearch, name, counted)
+    return calls
+
+
+def assert_same_enumeration(enum, reference):
+    assert enum.families == reference.families
+    assert enum.cone_records == reference.cone_records
+    assert enum.to_json_lines() == reference.to_json_lines()
 
 
 class TestGeometricCheck:
@@ -293,6 +314,12 @@ class TestRecoverAndFunctor:
         ident = apply_functor(((1, 0), (0, 1)), genmatrix_y())
         assert tuple(ident) == genmatrix_y().rows
 
+    def test_non_integral_image_rejected(self):
+        # a half-integer image was truncated to zero and recovered as T = 0
+        with pytest.raises(ValueError):
+            recover_T([TropVector([Fraction(1, 2), Fraction(-1, 2)])],
+                      GenMatrix.from_matrix([[1, -1]]))
+
     def test_round_trips(self):
         rng = random.Random(53)
         gm = genmatrix_y()
@@ -415,18 +442,17 @@ class TestDeterminismAndJobs:
         b = enumerate_homs(genmatrix_x(), 3, lattice_y()).to_json_lines()
         assert a == b
 
-    def test_cone_records_match_per_assignment_reference(self, monkeypatch):
+    def test_cone_records_match_per_assignment_reference(self):
         gm = GenMatrix.from_matrix([(1, -1)])
-        lines = enumerate_homs(gm, 3).to_json_lines()
-        monkeypatch.setattr(homsearch, "_rays_for_assignment",
-                            lambda sigma, circuits: reference_assignment_rays(sigma, gm))
-        reference = enumerate_homs(gm, 3)
+        reference = reference_enumerate_homs(gm, 3)
         assert reference.inexhaustive
-        assert lines == reference.to_json_lines()
+        assert_same_enumeration(enumerate_homs(gm, 3), reference)
 
 
 class TestCircuitTable:
     def test_rays_match_per_assignment_reference(self):
+        # no target lattice: every assignment of up to 6 labels' classes
+        # into up to 4 target labels, against one double description each
         rng = random.Random(20240527)
         kinds, sizes = Counter(), Counter()
         for _ in range(200):
@@ -434,31 +460,36 @@ class TestCircuitTable:
             kinds.update(col_kinds)
             m = rng.randint(1, 4)
             sizes[m] += 1
-            reps = homsearch._direction_classes(source)
-            circuits = homsearch._circuit_table(reps, source.n, m)
-            options = [None] + [a for a, _ in reps]
-            for sigma in itertools.product(options, repeat=m):
-                assert (homsearch._rays_for_assignment(sigma, circuits)
-                        == reference_assignment_rays(sigma, source)), (source, sigma)
+            assert_same_enumeration(enumerate_homs(source, m),
+                                    reference_enumerate_homs(source, m))
         assert all(kinds[k] for k in ("zero", "parallel", "antiparallel"))
         assert set(sizes) == {1, 2, 3, 4}
 
-    @staticmethod
-    def count_double_descriptions(monkeypatch):
-        calls = []
-        real = homsearch.extreme_rays
-
-        def counted(N, n_vars):
-            calls.append(n_vars)
-            return real(N, n_vars)
-
-        monkeypatch.setattr(homsearch, "extreme_rays", counted)
-        return calls
+    def test_matches_assignment_scan_with_lattices(self):
+        rng = random.Random(20261018)
+        kinds, sizes = Counter(), Counter()
+        with_lattice = with_records = 0
+        for _ in range(320):
+            source, col_kinds = random_source_with_classes(rng, max_labels=4)
+            kinds.update(col_kinds)
+            m = rng.randint(1, 5)
+            sizes[m] += 1
+            lattice = None
+            if rng.random() < 0.5:
+                gens = [random_degree_zero_row(rng, m) for _ in range(rng.randint(1, 2))]
+                lattice = Lattice.from_rows(gens)
+                with_lattice += 1
+            enum = enumerate_homs(source, m, lattice)
+            assert_same_enumeration(enum, reference_enumerate_homs(source, m, lattice))
+            with_records += bool(enum.cone_records)
+        assert all(kinds[k] for k in ("zero", "parallel", "antiparallel"))
+        assert set(sizes) == {1, 2, 3, 4, 5}
+        assert 120 <= with_lattice <= 200 and with_records >= 40
 
     def test_double_description_runs_once_per_class_subset(self, monkeypatch):
         # work-counter gate: 5 classes give at most 2^5 - 1 subsets, where a
         # scan with one double description per assignment would make 6^5
-        calls = self.count_double_descriptions(monkeypatch)
+        calls = count_calls(monkeypatch, "extreme_rays")
         enum = enumerate_homs(genmatrix_x(), 5)
         assert len(calls) <= 31
         assert (len(enum.families), len(enum.cone_records)) == (120, 1500)
@@ -470,14 +501,34 @@ class TestCircuitTable:
         dirs = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1), (1, -1),
                 (-1, 1), (2, 1), (1, 2), (-2, -1), (-1, -2)]
         gm = GenMatrix.from_matrix([[d[i] for d in dirs] for i in range(2)])
-        calls = self.count_double_descriptions(monkeypatch)
-        lines = enumerate_homs(gm, 2).to_json_lines()
+        calls = count_calls(monkeypatch, "extreme_rays")
+        enum = enumerate_homs(gm, 2)
         assert len(calls) == 12 + 66
-        assert max(calls) <= 2
-        monkeypatch.setattr(homsearch, "_rays_for_assignment",
-                            lambda sigma, circuits: reference_assignment_rays(sigma, gm))
-        assert lines == enumerate_homs(gm, 2).to_json_lines()
-        assert len(lines) == 1 + 12  # zero plus six antipodal pairs, both orders
+        assert max(n_vars for _, n_vars in calls) <= 2
+        assert_same_enumeration(enum, reference_enumerate_homs(gm, 2))
+        assert len(enum.to_json_lines()) == 1 + 12  # zero plus six antipodal pairs, both orders
+
+    def test_one_matrix_per_placement(self, monkeypatch):
+        # work-counter gate: X has two circuits of three classes, placed at
+        # 6 * 5 * 4 positions each in full:6; building the matrix of every
+        # ray of every assignment instead makes 51,840
+        built = count_calls(monkeypatch, "_matrix_from_ray")
+        enum = enumerate_homs(genmatrix_x(), 6)
+        assert len(built) == 240
+        assert (len(enum.families), len(enum.cone_records)) == (240, 16560)
+
+    def test_source_without_circuits_visits_no_assignment(self, monkeypatch):
+        # one class admits no circuit, so full:40 holds the zero matrix only;
+        # a scan would visit all 2^40 assignments of {zero, the class}
+        def refuse(*args, **kwargs):
+            raise AssertionError("assignments iterated")
+
+        guarded = SimpleNamespace(**vars(itertools))
+        guarded.product = guarded.combinations_with_replacement = refuse
+        monkeypatch.setattr(homsearch, "itertools", guarded)
+        enum = enumerate_homs(GenMatrix.from_matrix([[1], [2]]), 40)
+        assert (enum.families, enum.cone_records) == ((), ())
+        assert enum.to_json_lines() == ['{"kind": "zero"}']
 
 
 def planar_source(rng):
@@ -576,14 +627,7 @@ class TestKernelExpansion:
         # builds 157,500 candidate matrices by a search over the whole box;
         # solving the kernel leaves a few thousand
         enum = enumerate_homs(genmatrix_y(), 5, Lattice.from_rows(list(genmatrix_x().matrix())))
-        built = []
-        real = homsearch._matrix_from_ray
-
-        def counted(*args):
-            built.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(homsearch, "_matrix_from_ray", counted)
+        built = count_calls(monkeypatch, "_matrix_from_ray")
         members = enum.expand_cones(4)
         assert len(built) <= 2500
         assert len(members) == 4

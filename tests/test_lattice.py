@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -160,6 +161,21 @@ def test_member_agrees_with_exhaustive_search():
             else:
                 assert tuple(sum(c[i] * L.basis[i][j] for i in range(len(c)))
                              for j in range(m)) == v
+
+
+def test_non_integer_input_rejected():
+    # exactness: floats, bools and fractions are refused, not truncated
+    with pytest.raises(ValueError):
+        Lattice.from_rows([[1.7, 0], [True, 2]])
+    with pytest.raises(ValueError):
+        hnf([[Fraction(1, 2), 0]])
+    L = Lattice.from_rows([[2, -2]])
+    for v in ((2.5, -2.5), (2.0, -2.0), (True, -1), (Fraction(5, 2), Fraction(-5, 2))):
+        with pytest.raises(ValueError):
+            L.member(v)
+    with pytest.raises(ValueError):
+        solve_int(MG_ROWS, [(0.5, -0.5, 0)])
+    assert L.member((Fraction(4, 2), -2)) == (1,)
 
 
 def test_degenerate_lattice():

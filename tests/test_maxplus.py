@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -102,6 +104,20 @@ def test_decompose_rejects_bad_input():
 def test_empty_label_set_rejected():
     with pytest.raises(ValueError):
         TropVector([])
+
+
+@pytest.mark.parametrize("bad", [[Fraction(1, 2), Fraction(-1, 2)], [True, 0],
+                                 [1.0, -1], [0.5, -0.5], ["1", "-1"]])
+def test_non_integer_entries_rejected(bad):
+    # exactness: nothing is truncated to an int on the way in
+    with pytest.raises(ValueError):
+        TropVector(bad)
+
+
+def test_integral_rationals_accepted():
+    v = TropVector([Fraction(4, 2), -2])
+    assert v == TropVector([2, -2])
+    assert all(type(e) is int for e in v.entries)
 
 
 def test_json_round_trip():

@@ -4,7 +4,9 @@ morphism enumeration, witness construction, polynomial equality.
 Exit codes: 0 success, 1 semantic negative (point in support, functions
 unequal), 2 input error, 3 inexhaustive enumeration (cone records present
 and no --expand bound given).  Enumerations stream JSON lines; rationals
-are printed as exact "p/q" strings.
+are printed as exact "p/q" strings.  With --expand B, homs and morphisms
+print the explicit matrices of the library's expand and expand_T: those
+whose homomorphism (image) matrix has every entry in [-B, B].
 """
 
 from __future__ import annotations
@@ -81,23 +83,17 @@ def cmd_evalmap(args) -> int:
     return EXIT_OK
 
 
-def _print_enumeration(enum, expand: int | None) -> int:
-    if expand is None:
+def _print_enumeration(enum, matrices: set | None) -> int:
+    """The enumeration's JSON lines, or, given its expanded matrices, the
+    zero line followed by the nonzero matrices in sorted order."""
+    if matrices is None:
         for line in enum.to_json_lines():
             print(line)
         return EXIT_INEXHAUSTIVE if enum.inexhaustive else EXIT_OK
     print(json.dumps({"kind": "zero"}))
-    matrices = set()
-    for fam in enum.families:
-        s = fam.modulus
-        while s <= expand:
-            matrices.add(fam.matrix_for(s))
-            s += fam.modulus
-    if enum.cone_records:
-        matrices |= enum.expand_cones(expand)
-    matrices.discard(enum.zero_matrix)
     for M in sorted(matrices):
-        print(json.dumps({"kind": "matrix", "matrix": [list(r) for r in M]}))
+        if any(any(row) for row in M):
+            print(json.dumps({"kind": "matrix", "matrix": [list(r) for r in M]}))
     return EXIT_OK
 
 
@@ -119,7 +115,7 @@ def cmd_homs(args) -> int:
         size = tg.n_labels
         lattice = Lattice.from_rows(tg.matrix())
     enum = enumerate_homs(source, size, lattice)
-    return _print_enumeration(enum, args.expand)
+    return _print_enumeration(enum, None if args.expand is None else enum.expand(args.expand))
 
 
 def cmd_morphisms(args) -> int:
@@ -128,17 +124,7 @@ def cmd_morphisms(args) -> int:
     _eval_map(from_fan, args.from_fan)
     _eval_map(to_fan, args.to_fan)
     enum = enumerate_morphisms(from_fan, to_fan)
-    if args.expand is None:
-        for line in enum.to_json_lines():
-            print(line)
-        return EXIT_INEXHAUSTIVE if enum.inexhaustive else EXIT_OK
-    matrices = enum.expand_T(args.expand)
-    zero = tuple((0,) * enum.target_gens.n for _ in range(enum.homs.n))
-    matrices.discard(zero)
-    print(json.dumps({"kind": "zero"}))
-    for M in sorted(matrices):
-        print(json.dumps({"kind": "matrix", "matrix": [list(r) for r in M]}))
-    return EXIT_OK
+    return _print_enumeration(enum, None if args.expand is None else enum.expand_T(args.expand))
 
 
 def _parse_point(text: str) -> list[Fraction]:
@@ -197,6 +183,10 @@ def cmd_polyeq(args) -> int:
     return EXIT_NEGATIVE
 
 
+_EXPAND_HELP = ("print explicit matrices instead: every member whose homomorphism "
+               "matrix (for morphisms, the image matrix of T) has all entries in [-B, B]")
+
+
 def _bound(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
@@ -221,23 +211,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("homs", help="enumerate homomorphism matrix families")
     p.add_argument("source", help="generator matrix JSON or fan file")
     p.add_argument("target", help="'full:<size>', generator matrix JSON, or fan file")
-    p.add_argument("--expand", type=_bound, metavar="S_MAX",
-                   help="print explicit matrices instead: family members with "
-                        "parameter <= S_MAX, and cone-record members with every "
-                        "entry in [-S_MAX, S_MAX]")
-    p.add_argument("--jobs", type=int, default=1, metavar="K",
-                   help="accepted for compatibility and ignored")
+    p.add_argument("--expand", type=_bound, metavar="B", help=_EXPAND_HELP)
     p.set_defaults(func=cmd_homs)
 
     p = sub.add_parser("morphisms", help="enumerate fan-morphism matrix families")
     p.add_argument("from_fan")
     p.add_argument("to_fan")
-    p.add_argument("--expand", type=_bound, metavar="K_MAX",
-                   help="print explicit matrices instead: family members with "
-                        "parameter <= K_MAX, and cone-record members whose image "
-                        "matrix has every entry in [-K_MAX, K_MAX]")
-    p.add_argument("--jobs", type=int, default=1, metavar="K",
-                   help="accepted for compatibility and ignored")
+    p.add_argument("--expand", type=_bound, metavar="B", help=_EXPAND_HELP)
     p.set_defaults(func=cmd_morphisms)
 
     p = sub.add_parser("witness", help="separating witness for a point against a fan")

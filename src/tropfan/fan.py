@@ -14,13 +14,13 @@ import json
 from math import gcd
 from typing import Iterable, Sequence
 
-from .maxplus import TropVector
+from .maxplus import TropVector, exact_int
 from .tropoly import TropPoly, fn_eq_on_rays
 
 
 def primitive(d: Sequence[int]) -> tuple[int, ...]:
     """Divide an integer vector by the gcd of its entries; orientation kept."""
-    d = tuple(int(e) for e in d)
+    d = tuple(map(exact_int, d))
     g = 0
     for e in d:
         g = gcd(g, e)
@@ -44,9 +44,10 @@ class Ray:
 
     def __init__(self, direction: Sequence[int], weight: int = 1):
         object.__setattr__(self, "direction", primitive(direction))
-        if int(weight) < 1:
+        weight = exact_int(weight)
+        if weight < 1:
             raise ValueError(f"weight must be a positive integer, got {weight}")
-        object.__setattr__(self, "weight", int(weight))
+        object.__setattr__(self, "weight", weight)
 
     def __setattr__(self, name, value):
         raise AttributeError("Ray is immutable")
@@ -219,23 +220,29 @@ def apply_phi_to_poly(fan: Fan1D, f: TropPoly) -> TropVector:
     return TropVector(r.weight * f.eval(r.direction) for r in fan.rays)
 
 
+def direction_classes(gm: GenMatrix) -> list[tuple[int, tuple[int, ...]]]:
+    """(lowest label, primitive direction) per distinct nonzero column
+    direction, in order of first appearance."""
+    reps = []
+    seen = set()
+    for a in range(gm.n_labels):
+        col = gm.column(a)
+        if not any(col):
+            continue
+        p = primitive(col)
+        if p not in seen:
+            seen.add(p)
+            reps.append((a, p))
+    return reps
+
+
 def fan_from_generators(gm: GenMatrix) -> Fan1D:
     """The fan spanned by the matrix columns: one weight-1 ray per distinct
     nonzero primitive column direction; zero columns contribute nothing.
 
     An all-zero matrix yields the degenerate fan with no rays.
     """
-    dirs = []
-    seen = set()
-    for b in range(gm.n_labels):
-        col = gm.column(b)
-        if not any(col):
-            continue
-        p = primitive(col)
-        if p not in seen:
-            seen.add(p)
-            dirs.append(p)
-    return Fan1D(gm.n, [Ray(d, 1) for d in dirs])
+    return Fan1D(gm.n, [Ray(d, 1) for _, d in direction_classes(gm)])
 
 
 def kernel_eq(fan: Fan1D, f: TropPoly, g: TropPoly) -> bool:

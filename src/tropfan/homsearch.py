@@ -33,7 +33,7 @@ from math import gcd, prod
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .cones import bounded_points, extreme_rays
-from .fan import Fan1D, GenMatrix, check_balancing, primitive, weighted_eval_map
+from .fan import Fan1D, GenMatrix, check_balancing, direction_classes, weighted_eval_map
 from .lattice import Lattice, LatticeSpanError, scalar_modulus, solve_int
 from .maxplus import TropVector
 from .tropoly import TropPoly, substitute_units
@@ -141,22 +141,6 @@ def _assignment_key(assignment: Assignment) -> tuple[int, ...]:
     return tuple(-1 if a is None else a for a in assignment)
 
 
-def _direction_classes(source: GenMatrix) -> list[tuple[int, tuple[int, ...]]]:
-    """(lowest label, primitive direction) per distinct nonzero column
-    direction, in order of first appearance."""
-    reps = []
-    seen = set()
-    for a in range(source.n_labels):
-        col = source.column(a)
-        if not any(col):
-            continue
-        p = primitive(col)
-        if p not in seen:
-            seen.add(p)
-            reps.append((a, p))
-    return reps
-
-
 def _circuit_table(reps: list[tuple[int, tuple[int, ...]]], n: int,
                    target_size: int) -> list[Circuit]:
     """Every placeable positive circuit of the class directions: the
@@ -239,7 +223,7 @@ class HomEnumeration:
         slots' class directions d_b; those points are enumerated by
         cones.bounded_points, once per distinct direction sequence."""
         out: set[IntMatrix] = set()
-        class_dirs = dict(_direction_classes(self.source))
+        class_dirs = dict(direction_classes(self.source))
         points: dict[tuple[tuple[int, ...], ...], list[tuple[int, ...]]] = {}
         for rec in self.cone_records:
             prims = tuple(class_dirs[a] for a in rec.assignment if a is not None)
@@ -259,32 +243,32 @@ class HomEnumeration:
         return out
 
     def expand(self, entry_bound: int) -> set[IntMatrix]:
-        """The exact set of homomorphism matrices with entries in
-        [-entry_bound, entry_bound]; exact even for inexhaustive results,
-        because every integer point of each cone record's kernel within the
-        bound is enumerated."""
+        """The exact set of homomorphism matrices, the zero matrix included,
+        with every entry in [-entry_bound, entry_bound]; exact even for
+        inexhaustive results, because every integer point of each cone
+        record's kernel within the bound is enumerated.
+        MorphismEnumeration.expand_T and the CLI's --expand build on it."""
         return self.expand_families(entry_bound) | self.expand_cones(entry_bound)
 
     def to_json_lines(self) -> list[str]:
-        lines = [json.dumps({"kind": "zero"})]
-        for fam in self.families:
-            lines.append(json.dumps({
-                "kind": "family",
-                "assignment": _assignment_json(fam.assignment),
-                "base": [list(r) for r in fam.base],
-                "modulus": fam.modulus,
-            }))
-        for rec in self.cone_records:
-            lines.append(json.dumps({
-                "kind": "cone",
-                "rays": [[list(r) for r in M] for M in rec.ray_bases],
-                "flag": "inexhaustive",
-            }))
-        return lines
+        return _json_lines(({"kind": "family",
+                             "assignment": _assignment_json(fam.assignment),
+                             "base": [list(r) for r in fam.base],
+                             "modulus": fam.modulus} for fam in self.families),
+                           self.cone_records)
 
 
 def _assignment_json(assignment: Assignment) -> list:
     return [None if a is None else a + 1 for a in assignment]
+
+
+def _json_lines(families: Iterable[dict], records: Iterable[ConeRecord]) -> list[str]:
+    """The zero line, one line per family object, then one per cone record."""
+    return [json.dumps({"kind": "zero"}),
+            *map(json.dumps, families),
+            *(json.dumps({"kind": "cone",
+                          "rays": [[list(r) for r in M] for M in rec.ray_bases],
+                          "flag": "inexhaustive"}) for rec in records)]
 
 
 def enumerate_homs(source: GenMatrix, target_size: int,
@@ -307,7 +291,7 @@ def enumerate_homs(source: GenMatrix, target_size: int,
     if target_lattice is not None and target_lattice.ambient != target_size:
         raise ValueError("target lattice ambient disagrees with target size")
     n = source.n
-    reps = _direction_classes(source)
+    reps = direction_classes(source)
     class_dirs = dict(reps)
     circuits = _circuit_table(reps, n, target_size)
 
@@ -453,34 +437,22 @@ class MorphismEnumeration:
     def inexhaustive(self) -> bool:
         return self.homs.inexhaustive
 
-    def expand_T(self, bound: int) -> set[IntMatrix]:
-        """Zero map plus explicit members: family parameters up to the
-        bound, and cone-record image matrices with entries within the bound
-        (lattice-filtered) rewritten in source-generator coordinates."""
-        m = self.target_gens.n
-        out = {tuple((0,) * m for _ in range(self.homs.n))}
-        for fam in self.families:
-            for k in range(1, bound + 1):
-                out.add(fam.matrix_for(k))
-        for M in self.homs.expand_cones(bound):
-            out.add(recover_T([TropVector(row) for row in M], self.target_gens))
-        return out
+    def expand_T(self, entry_bound: int) -> set[IntMatrix]:
+        """The morphism matrices T, the zero map included, whose image
+        matrix T * (target generator rows) has every entry in
+        [-entry_bound, entry_bound]: the members of homs.expand, rewritten
+        in generator coordinates by one canonical integer solve."""
+        images = list(self.homs.expand(entry_bound))
+        T = solve_int(self.target_gens.matrix(), [row for M in images for row in M])
+        n = self.homs.n
+        return {T[i:i + n] for i in range(0, len(T), n)}
 
     def to_json_lines(self) -> list[str]:
-        lines = [json.dumps({"kind": "zero"})]
-        for fam in self.families:
-            lines.append(json.dumps({
-                "kind": "family",
-                "assignment": _assignment_json(fam.assignment),
-                "base_T": [list(r) for r in fam.base_T],
-            }))
-        for rec in self.cone_records:
-            lines.append(json.dumps({
-                "kind": "cone",
-                "rays": [[list(r) for r in M] for M in rec.ray_bases],
-                "flag": "inexhaustive",
-            }))
-        return lines
+        return _json_lines(({"kind": "family",
+                             "assignment": _assignment_json(fam.assignment),
+                             "base_T": [list(r) for r in fam.base_T]}
+                            for fam in self.families),
+                           self.cone_records)
 
 
 def enumerate_morphisms(from_fan: Fan1D, to_fan: Fan1D) -> MorphismEnumeration:

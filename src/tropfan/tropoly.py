@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .exactlp import in_convex_hull, strict_separator
-from .maxplus import TropVector
+from .maxplus import TropVector, exact_int
 
 Monomial = tuple[int, ...]
 
@@ -42,7 +42,7 @@ class TropPoly:
     def __init__(self, dim: int, monomials: Iterable[Sequence[int]]):
         if dim < 1:
             raise ValueError("ambient dimension must be positive")
-        mono = frozenset(tuple(int(e) for e in u) for u in monomials)
+        mono = frozenset(tuple(map(exact_int, u)) for u in monomials)
         for u in mono:
             if len(u) != dim:
                 raise ValueError(f"exponent vector {u} has length != {dim}")
@@ -237,7 +237,7 @@ def fn_eq_on_rays(f: TropPoly, g: TropPoly,
     if f.is_zero or g.is_zero:
         raise ValueError("function equality is defined for nonzero polynomials")
     for d in directions:
-        d = tuple(int(e) for e in d)
+        d = tuple(map(exact_int, d))
         if not any(d):
             raise ValueError("invalid ray: zero direction vector")
         if f.eval(d) != g.eval(d):

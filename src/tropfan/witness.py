@@ -133,13 +133,10 @@ def in_congruence_variety(q: Sequence[Rational],
     nonnegative rational multiple of a union direction.  A verified witness
     pair at q is attached as the certificate whenever the answer is no.
     """
-    point = tuple(Fraction(e) for e in q)
-    if not any(point):
+    try:
+        return False, separating_pair(z_dirs, q)
+    except PointInSupportError:
         return True, None
-    d = integerize(point)
-    if d in {primitive(z) for z in z_dirs}:
-        return True, None
-    return False, separating_pair(z_dirs, point)
 
 
 def witness_to_json(w: WitnessPair) -> str:

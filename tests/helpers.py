@@ -160,10 +160,11 @@ def reference_enumerate_homs(source: GenMatrix, target_size: int, lattice=None):
     the direct scan it is checked against."""
     import itertools
     from tropfan import HomEnumeration, homsearch
+    from tropfan.fan import direction_classes
     from tropfan.lattice import LatticeSpanError, scalar_modulus
 
     n = source.n
-    reps = homsearch._direction_classes(source)
+    reps = direction_classes(source)
     class_dirs = dict(reps)
     families, records = {}, []
     for sigma in itertools.product([None] + [a for a, _ in reps], repeat=target_size):
@@ -197,9 +198,10 @@ def reference_expand_cones(enum, bound):
     instead; this is the direct search it is checked against."""
     import itertools
     from tropfan import homsearch
+    from tropfan.fan import direction_classes
 
     out = set()
-    class_dirs = dict(homsearch._direction_classes(enum.source))
+    class_dirs = dict(direction_classes(enum.source))
     for rec in enum.cone_records:
         prims = [class_dirs[a] for a in rec.assignment if a is not None]
         limits = [bound // max(abs(e) for e in p) for p in prims]
@@ -212,18 +214,4 @@ def reference_expand_cones(enum, bound):
                 continue
             out.add(M)
     out.discard(enum.zero_matrix)
-    return out
-
-
-def reference_expand_T(menum, bound):
-    """MorphismEnumeration.expand_T computed from reference_expand_cones:
-    the zero map, family parameters 1..bound, and the cone members within
-    the entry bound rewritten in generator coordinates."""
-    from tropfan import TropVector, recover_T
-
-    out = {tuple((0,) * menum.target_gens.n for _ in range(menum.homs.n))}
-    for fam in menum.families:
-        out.update(fam.matrix_for(k) for k in range(1, bound + 1))
-    for M in reference_expand_cones(menum.homs, bound):
-        out.add(recover_T([TropVector(row) for row in M], menum.target_gens))
     return out

@@ -1,4 +1,6 @@
+import argparse
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +8,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tropfan import GenMatrix, enumerate_homs
+from tropfan.cli import build_parser
+
+from helpers import MG_ROWS, box_hom_oracle, genmatrix_x, lattice_y
+
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).parent.parent / "README.md"
 
 X_FAN = {
     "ambient_dim": 3,
@@ -144,6 +152,7 @@ class TestHoms:
         assert out == (DATA / "golden_homs_full.jsonl").read_text()
 
     def test_expand(self, fan_files, tmp_path):
+        # --expand B prints every homomorphism matrix with entries in [-B, B]
         x, _ = fan_files
         gens = tmp_path / "gens.json"
         gens.write_text("[[1,-2,1],[1,2,-3]]")
@@ -153,9 +162,24 @@ class TestHoms:
         assert lines[0] == {"kind": "zero"}
         mats = [tuple(tuple(r) for r in l["matrix"]) for l in lines[1:]]
         assert len(mats) == len(set(mats))
-        # families with modulus 4 contribute s in {4, 8}; modulus 2 adds
-        # s in {2, 4, 6, 8}; 8 bases * 2 + 4 bases * 4 = 32 matrices
-        assert len(mats) == 32
+        box = box_hom_oracle(genmatrix_x(), 3, lattice_y(), 8)
+        assert set(mats) | {((0,) * 3,) * 3} == box
+        assert len(mats) == 16
+
+    def test_expand_prints_library_expansion(self, tmp_path):
+        # a source with cone records: the CLI prints the library's expand(B),
+        # zero line first, then the nonzero matrices in sorted order
+        src = tmp_path / "mf.json"
+        src.write_text("[[1,-1]]")
+        enum = enumerate_homs(GenMatrix.from_matrix([[1, -1]]), 3)
+        assert enum.cone_records
+        for bound in (0, 1, 3):
+            code, out, _ = run("homs", str(src), "full:3", "--expand", str(bound))
+            assert code == 0
+            expected = [{"kind": "zero"}] + [
+                {"kind": "matrix", "matrix": [list(r) for r in M]}
+                for M in sorted(enum.expand(bound)) if M != enum.zero_matrix]
+            assert [json.loads(l) for l in out.splitlines()] == expected
 
     def test_trivial_source_zero_only(self, tmp_path):
         src = tmp_path / "mf.json"
@@ -171,12 +195,6 @@ class TestHoms:
         assert code == 3
         kinds = [json.loads(l)["kind"] for l in out.splitlines()]
         assert "cone" in kinds
-
-    def test_jobs_byte_identical(self, fan_files):
-        x, y = fan_files
-        _, serial, _ = run("homs", x, y)
-        _, parallel, _ = run("homs", x, y, "--jobs", "2")
-        assert serial == parallel
 
     def test_bad_target_spec(self, fan_files):
         x, _ = fan_files
@@ -203,12 +221,20 @@ class TestMorphisms:
         assert [[1]] in bases and [[-1]] in bases
 
     def test_expand(self, fan_files):
+        # the bound is on the image matrix T * MG_ROWS, not on T
         x, y = fan_files
-        code, out, _ = run("morphisms", y, x, "--expand", "2")
+        code, out, _ = run("morphisms", y, x, "--expand", "8")
         assert code == 0
         lines = [json.loads(l) for l in out.splitlines()]
         assert lines[0] == {"kind": "zero"}
-        assert len(lines) == 1 + 24  # 12 families, parameters 1 and 2
+        Ts = [l["matrix"] for l in lines[1:]]
+        images = {tuple(tuple(sum(T[i][j] * MG_ROWS[j][b] for j in range(2))
+                              for b in range(3))
+                        for i in range(3)) for T in Ts}
+        assert len(images) == len(Ts)
+        box = box_hom_oracle(genmatrix_x(), 3, lattice_y(), 8)
+        assert images | {((0,) * 3,) * 3} == box
+        assert len(Ts) == 16
 
     def test_expand_completes_cone_records(self, fan_files, tmp_path):
         _, y = fan_files
@@ -297,6 +323,20 @@ class TestPolyeq:
         assert code == 2 and err
 
 
+def test_readme_cli_flags_match_parser():
+    # every --flag of the README's CLI section is an option of the parser,
+    # and every option (other than -h/--help) is documented there
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    parser = build_parser()
+    parsers = [parser] + [p for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+                          for p in a.choices.values()]
+    options = {o for p in parsers for a in p._actions for o in a.option_strings
+               if o.startswith("--") and o != "--help"}
+    assert documented == options
+
+
 def test_byte_determinism_across_runs(fan_files):
     x, y = fan_files
     outs = {run("morphisms", y, x)[1] for _ in range(3)}
@@ -313,6 +353,7 @@ def test_byte_determinism_across_runs(fan_files):
     ("homs", "{empty}", "full:2"),
     ("check", "{binary}"),
     ("homs", "{x}", "full:99999999999999999999"),
+    ("homs", "{x}", "{y}", "--jobs", "2"),
 ])
 def test_input_errors_exit_2_without_traceback(fan_files, tmp_path, args):
     x, y = fan_files

@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -23,6 +24,15 @@ class TestPrimitive:
     def test_orientation_kept(self):
         assert primitive((-2, -4)) == (-1, -2)
 
+    @pytest.mark.parametrize("bad", [(2.5, 5), (True, 2), (Fraction(1, 2), 1)])
+    def test_non_integer_rejected(self, bad):
+        # exactness: entries are never truncated, (2.5, 5) is not (2, 5)
+        with pytest.raises(ValueError, match="expected an integer"):
+            primitive(bad)
+
+    def test_integral_rationals_accepted(self):
+        assert primitive((Fraction(4, 2), 4)) == (1, 2)
+
 
 class TestFanValidation:
     def test_ray_normalizes_direction(self):
@@ -31,6 +41,13 @@ class TestFanValidation:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError):
             Ray([1, 0], 0)
+
+    @pytest.mark.parametrize("direction, weight", [([1.7, 0], 1), ([1, 0], 2.9),
+                                                   ([2, 0], True), ([1, False], 1)])
+    def test_non_integer_ray_rejected(self, direction, weight):
+        # exactness: neither the direction nor the weight is truncated
+        with pytest.raises(ValueError, match="expected an integer"):
+            Ray(direction, weight)
 
     def test_duplicate_directions_rejected(self):
         with pytest.raises(ValueError):

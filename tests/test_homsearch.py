@@ -12,11 +12,12 @@ from tropfan import (Fan1D, GenMatrix, Lattice, NotGeometricError, Ray,
                      parse_poly, recover_T, separating_pair, substitute_units,
                      weighted_eval_map)
 from tropfan import homsearch
+from tropfan.fan import direction_classes
 
 from helpers import (B1, B2, FAN_X, FAN_Y, box_hom_oracle, column_permutations,
                      genmatrix_x, genmatrix_y, lattice_y, random_degree_zero_row,
                      random_source_with_classes, reference_enumerate_homs,
-                     reference_expand_cones, reference_expand_T, scale_matrix)
+                     reference_expand_cones, scale_matrix)
 
 
 def vecs(matrix):
@@ -547,7 +548,7 @@ def planar_source(rng):
 
 
 def box_size(enum, bound):
-    dirs = dict(homsearch._direction_classes(enum.source))
+    dirs = dict(direction_classes(enum.source))
     total = 0
     for rec in enum.cone_records:
         size = 1
@@ -615,10 +616,21 @@ class TestKernelExpansion:
         assert with_records >= 60 and members >= 1000
 
     def test_expand_T_matches_reference_on_benchmark_pairs(self):
+        # expand_T(B) is exactly the morphisms whose image matrix T * G lies
+        # in the [-B, B] box, one T per image; Y -> X has families only, and
+        # its minimal images have largest entry 4 or 8
+        pairs = [(fan_of(src), fan_of(dst), bound) for src, dst, bound in EXPAND_MORPHS]
+        pairs += [(FAN_Y, FAN_X, 2), (FAN_Y, FAN_X, 8)]
         cone_members = 0
-        for src, dst, bound in EXPAND_MORPHS:
-            menum = enumerate_morphisms(fan_of(src), fan_of(dst))
-            assert menum.expand_T(bound) == reference_expand_T(menum, bound)
+        for src, dst, bound in pairs:
+            menum = enumerate_morphisms(src, dst)
+            G = menum.target_gens.matrix()
+            Ts = menum.expand_T(bound)
+            images = {tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*G))
+                            for row in T) for T in Ts}
+            assert len(images) == len(Ts)
+            lattice = Lattice.from_rows(G)
+            assert images == box_hom_oracle(weighted_eval_map(dst), src.n_rays, lattice, bound)
             cone_members += len(reference_expand_cones(menum.homs, bound))
         assert cone_members
 

@@ -46,6 +46,13 @@ class TestParser:
             parse_poly("x0", 2)
 
 
+@pytest.mark.parametrize("bad", [(0.5, True), (1, 1.0), (Fraction(3, 2), 0)])
+def test_non_integer_exponents_rejected(bad):
+    # exactness: exponents are never truncated, (0.5, True) is not (0, 1)
+    with pytest.raises(ValueError, match="expected an integer"):
+        TropPoly(2, [bad])
+
+
 class TestEval:
     def test_two_dot_products(self):
         p = TropPoly(2, [(1, 0), (0, -1)])
@@ -157,6 +164,13 @@ class TestEqOnRays:
         f = TropPoly(2, [(1, 0)])
         with pytest.raises(ValueError):
             fn_eq_on_rays(f, f, [(0, 0)])
+
+    @pytest.mark.parametrize("bad", [(0.5, 0), (True, 0), (Fraction(1, 2), 1)])
+    def test_non_integer_direction_rejected(self, bad):
+        # a non-integer direction is an error of its own, not a zero direction
+        f = TropPoly(2, [(1, 0)])
+        with pytest.raises(ValueError, match="expected an integer"):
+            fn_eq_on_rays(f, f, [bad])
 
     def test_space_equality_implies_ray_equality(self):
         rng = random.Random(17)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from .fan import Fan1D, GenMatrix, check_balancing, json_int, weighted_eval_map
 from .homsearch import enumerate_homs, enumerate_morphisms
 from .lattice import Lattice
-from .tropoly import parse_poly, fn_eq_on_space, fn_eq_on_rays, separating_point
+from .tropoly import parse_poly, fn_eq_on_rays, separating_point
 from .witness import PointInSupportError, separating_pair, verify_witness, witness_to_json
 
 EXIT_OK = 0
@@ -174,11 +174,11 @@ def cmd_polyeq(args) -> int:
         bad = next(d for d in fan.directions if f.eval(d) != g.eval(d))
         print(json.dumps([str(c) for c in bad]))
         return EXIT_NEGATIVE
-    if fn_eq_on_space(f, g):
+    point = separating_point(f, g)
+    if point is None:
         print("equal")
         return EXIT_OK
     print("unequal")
-    point = separating_point(f, g)
     print(json.dumps([str(c) for c in point]))
     return EXIT_NEGATIVE
 

@@ -233,8 +233,6 @@ class HomEnumeration:
                 points[prims] = list(bounded_points(N, limits))
             for ks in points[prims]:
                 M = _matrix_from_ray(rec.assignment, ks, class_dirs, self.n)
-                if any(sum(row) for row in M):
-                    continue
                 if self.target_lattice is not None and not all(
                         row in self.target_lattice for row in M):
                     continue
@@ -472,9 +470,9 @@ def enumerate_morphisms(from_fan: Fan1D, to_fan: Fan1D) -> MorphismEnumeration:
     MG = weighted_eval_map(from_fan)
     lattice = Lattice.from_rows(MG.matrix())
     enum = enumerate_homs(MF, from_fan.n_rays, lattice)
-    fams = []
-    for fam in enum.families:
-        T0 = recover_T([TropVector(r) for r in fam.minimal_member], MG)
-        fams.append(MorphismFamily(fam.assignment, T0))
-    fams.sort(key=MorphismFamily.sort_key)
+    # one HNF serves every family: solve_int reduces each stacked row alone
+    T = solve_int(MG.matrix(), [row for fam in enum.families for row in fam.minimal_member])
+    n = MF.n
+    fams = sorted((MorphismFamily(fam.assignment, T[i * n:(i + 1) * n])
+                   for i, fam in enumerate(enum.families)), key=MorphismFamily.sort_key)
     return MorphismEnumeration(enum, MG, tuple(fams))

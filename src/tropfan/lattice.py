@@ -8,8 +8,7 @@ basis of the row lattice, so lattices compare by structural equality.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
 from typing import Optional, Sequence
 
 from .maxplus import exact_int
@@ -108,25 +107,20 @@ def _pivots(H: IntMatrix) -> list[tuple[int, int]]:
     return out
 
 
-def _reduce_against(H: IntMatrix, v: Sequence[int], exact: bool):
-    """Forward-substitute v against echelon H.
+def _reduce_against(H: IntMatrix, v: Sequence[int]):
+    """Forward-substitute the integer vector v against echelon H.
 
-    Returns (coeffs, residue): coeffs has one entry per row of H (zero for
-    zero rows).  With exact=True v must hold integers (ValueError otherwise),
-    coefficients are ints and None is returned instead when an entry fails
-    to divide; with exact=False they are Fractions and only rational-span
-    failure leaves a nonzero residue.
+    Returns (coeffs, residue): coeffs has one int per row of H (zero for
+    zero rows), or is None when some pivot fails to divide the entry it
+    meets.  ValueError for a non-integer entry of v.
     """
-    vv = [exact_int(e) for e in v] if exact else [Fraction(e) for e in v]
-    coeffs = [0 if exact else Fraction(0)] * len(H)
+    vv = [exact_int(e) for e in v]
+    coeffs = [0] * len(H)
     for i, j in _pivots(H):
         p = H[i][j]
-        if exact:
-            if vv[j] % p != 0:
-                return None, vv
-            q = vv[j] // p
-        else:
-            q = Fraction(vv[j], p)
+        if vv[j] % p != 0:
+            return None, vv
+        q = vv[j] // p
         if q:
             vv = [e - q * f for e, f in zip(vv, H[i])]
         coeffs[i] = q
@@ -163,9 +157,7 @@ class Lattice:
         """Coefficients c with c . basis = v, or None if v is not in the lattice."""
         if len(v) != self.ambient:
             raise ValueError("vector length disagrees with ambient dimension")
-        if not self.basis:
-            return () if not any(v) else None
-        coeffs, residue = _reduce_against(self.basis, v, exact=True)
+        coeffs, residue = _reduce_against(self.basis, v)
         if coeffs is None or any(residue):
             return None
         return tuple(coeffs)
@@ -181,14 +173,13 @@ class Lattice:
         """
         if len(v) != self.ambient:
             raise ValueError("vector length disagrees with ambient dimension")
-        if not any(v):
-            return 1
-        if not self.basis:
-            raise LatticeSpanError("nonzero vector against the zero lattice")
-        coeffs, residue = _reduce_against(self.basis, v, exact=False)
+        # the rational coefficients of v have denominators dividing the
+        # product P of the pivots, so P*v reduces exactly to P times them
+        P = prod(self.basis[i][j] for i, j in _pivots(self.basis))
+        coeffs, residue = _reduce_against(self.basis, [P * exact_int(e) for e in v])
         if any(residue):
             raise LatticeSpanError("vector is outside the rational span of the lattice")
-        return lcm(*(q.denominator for q in coeffs))
+        return P // gcd(P, *coeffs)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Lattice)
@@ -217,7 +208,7 @@ def solve_int(rows: Sequence[Sequence[int]], targets: Sequence[Sequence[int]]) -
     for idx, v in enumerate(targets):
         if len(v) != len(M[0]):
             raise ValueError(f"target row {idx} has wrong length")
-        y, residue = _reduce_against(H, v, exact=True)
+        y, residue = _reduce_against(H, v)
         if y is None or any(residue):
             raise LatticeSolveError(idx)
         # c . rows = (y . U) . rows = y . H = v

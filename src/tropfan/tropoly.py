@@ -2,11 +2,12 @@
 
 A polynomial is a finite set of integer exponent vectors; the function it
 defines sends x to the max of the inner products u . x.  Two polynomials
-define the same function on all of R^n exactly when their canonical forms
-(the vertex sets of the convex hulls of their exponent sets) coincide, and
-the same function on a union of rays exactly when they agree at one point
-per ray.  Everything here is exact: hull redundancy is decided by rational
-linear feasibility, never by sampling.
+define the same function on all of R^n exactly when each exponent set lies
+in the other's convex hull, so only the exponents the two do not share are
+tested, and the same function on a union of rays exactly when they agree at
+one point per ray.  The normal form is canonical(): the vertex set of the
+exponent hull.  Everything here is exact: hull membership is decided by
+rational linear feasibility, never by sampling.
 """
 
 from __future__ import annotations
@@ -110,9 +111,7 @@ class TropPoly:
         if self.is_zero:
             raise ValueError("the zero polynomial has no canonical exponent set")
         mono = self.sorted_monomials()
-        keep = [u for u in mono
-                if not in_convex_hull(u, [v for v in mono if v != u])]
-        return TropPoly(self.dim, keep)
+        return TropPoly(self.dim, [u for u in mono if _is_vertex(u, mono)])
 
     def to_json(self) -> list[list[int]]:
         return [list(u) for u in self.sorted_monomials()]
@@ -120,6 +119,11 @@ class TropPoly:
     @classmethod
     def from_json(cls, data, dim: int) -> "TropPoly":
         return cls(dim, data)
+
+
+def _is_vertex(u: Monomial, mono: Sequence[Monomial]) -> bool:
+    """Whether u is no convex combination of the other exponents in mono."""
+    return not in_convex_hull(u, [v for v in mono if v != u])
 
 
 _VAR = re.compile(r"x([1-9][0-9]*)")
@@ -197,32 +201,30 @@ def parse_poly(text: str, dim: int) -> TropPoly:
 
 def fn_eq_on_space(f: TropPoly, g: TropPoly) -> bool:
     """Equality of the induced functions on all of R^n (exact)."""
-    f._check_dim(g)
-    if f.is_zero or g.is_zero:
-        raise ValueError("function equality is defined for nonzero polynomials")
-    return f.canonical().monomials == g.canonical().monomials
+    return separating_point(f, g) is None
 
 
 def separating_point(f: TropPoly, g: TropPoly) -> Optional[tuple[Fraction, ...]]:
     """A rational point where f and g differ, or None when they agree on R^n.
 
-    The certificate comes from a strict-separation LP: some canonical
-    exponent of one polynomial lies outside the other's exponent hull.
+    The functions agree exactly when each exponent hull contains the other,
+    so only the exponents in the symmetric difference are tested: the first
+    (in sorted order, f's before g's) that is a vertex of its own hull and
+    that a strict-separation LP splits off from the other exponent set
+    yields the point.
     """
     f._check_dim(g)
-    cf = f.canonical()
-    cg = g.canonical()
-    if cf.monomials == cg.monomials:
-        return None
-    for u_side, other in ((cf, g), (cg, f)):
-        verts = other.sorted_monomials()
-        for u in u_side.sorted_monomials():
-            if u in other.monomials:
+    if f.is_zero or g.is_zero:
+        raise ValueError("function equality is defined for nonzero polynomials")
+    for p, q in ((f, g), (g, f)):
+        mono, others = p.sorted_monomials(), q.sorted_monomials()
+        for u in mono:
+            if u in q.monomials or not _is_vertex(u, mono):
                 continue
-            w = strict_separator(u, verts)
+            w = strict_separator(u, others)
             if w is not None:
                 return tuple(w)
-    raise AssertionError("distinct hulls must admit a separating vertex")
+    return None
 
 
 def fn_eq_on_rays(f: TropPoly, g: TropPoly,

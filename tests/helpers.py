@@ -215,3 +215,27 @@ def reference_expand_cones(enum, bound):
             out.add(M)
     out.discard(enum.zero_matrix)
     return out
+
+
+def reference_separating_point(f: TropPoly, g: TropPoly):
+    """separating_point by comparing the two canonical forms: None when the
+    vertex sets coincide, else the first canonical exponent of f, then of g,
+    that a strict-separation LP splits off from the other polynomial's
+    exponents.  The library tests only the exponents the two do not share;
+    this is the canonical-form comparison it is checked against."""
+    from tropfan.exactlp import strict_separator
+
+    f._check_dim(g)
+    cf = f.canonical()
+    cg = g.canonical()
+    if cf.monomials == cg.monomials:
+        return None
+    for u_side, other in ((cf, g), (cg, f)):
+        verts = other.sorted_monomials()
+        for u in u_side.sorted_monomials():
+            if u in other.monomials:
+                continue
+            w = strict_separator(u, verts)
+            if w is not None:
+                return tuple(w)
+    raise AssertionError("distinct hulls must admit a separating vertex")

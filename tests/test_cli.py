@@ -3,11 +3,14 @@ import json
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tropfan.cli
+import tropfan.tropoly
 from tropfan import GenMatrix, enumerate_homs
 from tropfan.cli import build_parser
 
@@ -307,6 +310,25 @@ class TestPolyeq:
         point = [Fraction(c) for c in json.loads(lines[1])]
         left = max(point[0], point[1])
         assert left != point[0]
+
+    def test_on_space_decides_once(self, monkeypatch, capsys):
+        # one separating_point call decides and certifies; canonical() is unused
+        calls = Counter()
+
+        def counted(name):
+            real = getattr(tropfan.tropoly, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(tropfan.cli, name, wrapper, raising=False)
+
+        counted("separating_point")
+        counted("fn_eq_on_space")
+        monkeypatch.setattr(tropfan.tropoly.TropPoly, "canonical", None)
+        assert tropfan.cli.main(["polyeq", "--on-space", "2", "x1 + x2", "x1"]) == 1
+        assert calls == {"separating_point": 1}
+        assert capsys.readouterr().out.splitlines()[0] == "unequal"
 
     def test_reflexive(self):
         code, out, _ = run("polyeq", "--on-space", "3", "x1*x3^-2 + 0",

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -183,6 +184,11 @@ def test_degenerate_lattice():
     assert L.rank == 0
     assert (0, 0) in L
     assert (1, 0) not in L
+    assert L.least_multiplier((0, 0)) == 1
+    with pytest.raises(LatticeSpanError):
+        L.least_multiplier((1, 0))
+    with pytest.raises(ValueError, match="expected an integer"):
+        L.member((0.5, 0))
 
 
 def test_solve_int_examples():
@@ -251,3 +257,42 @@ def test_scalar_modulus_infeasible():
     L = Lattice.from_rows([(1, -1, 0)])
     with pytest.raises(LatticeSpanError):
         scalar_modulus(((0, 0, 1),), L)
+
+
+@pytest.mark.parametrize("call", [
+    lambda L: L.least_multiplier([0.5, 1, 0]),
+    lambda L: L.least_multiplier([True, 0, 0]),
+    lambda L: scalar_modulus([[1.5, 0, 0]], L),
+], ids=["float", "bool", "scalar_modulus_float"])
+def test_least_multiplier_rejects_non_integers(call):
+    L = Lattice.from_rows([[2, 0, 0], [0, 2, 0]], 3)
+    with pytest.raises(ValueError, match="expected an integer"):
+        call(L)
+
+
+def test_least_multiplier_brute_force_oracle():
+    # the least multiplier divides the product of the basis pivots, so
+    # searching s up to that product decides it, or shows there is none
+    rng = random.Random(11)
+    outside = 0
+    for _ in range(2000):
+        m = rng.randint(1, 4)
+        gens = [tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(rng.randint(1, 3))]
+        L = Lattice.from_rows(gens, m)
+        if L.rank and rng.random() < 0.7:
+            # a primitive vector of the rational span, often outside L
+            combo = [sum(rng.randint(-3, 3) * row[j] for row in L.basis) for j in range(m)]
+            g = math.gcd(*combo) or 1
+            v = [e // g for e in combo]
+        else:
+            v = [rng.randint(-3, 3) for _ in range(m)]
+        limit = math.prod(next(e for e in row if e) for row in L.basis)
+        found = next((s for s in range(1, limit + 1)
+                      if L.member([s * e for e in v]) is not None), None)
+        if found is None:
+            outside += 1
+            with pytest.raises(LatticeSpanError):
+                L.least_multiplier(v)
+        else:
+            assert L.least_multiplier(v) == found
+    assert outside >= 200

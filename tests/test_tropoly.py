@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tropfan.tropoly
 from tropfan import (PolySyntaxError, TropPoly, TropVector, fn_eq_on_rays,
                      fn_eq_on_space, parse_poly, separating_point,
                      substitute_units)
 from tropfan.exactlp import in_convex_hull
 
-from helpers import random_poly, random_rational_point
+from helpers import random_poly, random_rational_point, reference_separating_point
 
 
 class TestParser:
@@ -145,6 +146,69 @@ class TestEqOnSpace:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             fn_eq_on_space(TropPoly(2, [(1, 0)]), TropPoly(3, [(1, 0, 0)]))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            separating_point(TropPoly(2, [(1, 0)]), TropPoly(3, [(1, 0, 0)]))
+
+    def test_zero_poly_rejected(self):
+        f = TropPoly(2, [(1, 0)])
+        for a, b in ((f, TropPoly.zero(2)), (TropPoly.zero(2), f)):
+            for decide in (fn_eq_on_space, separating_point):
+                with pytest.raises(ValueError, match="nonzero polynomials"):
+                    decide(a, b)
+
+    def test_matches_canonical_form_reference(self):
+        # a third of the pairs are f plus points of its hull or f minus one
+        # monomial, so that equal pairs and near misses are well represented
+        rng = random.Random(2024)
+        equal = 0
+        for _ in range(2000):
+            dim = rng.randint(1, 3)
+            kind = rng.randrange(6)
+            if kind == 0:
+                # doubled exponents, so that midpoints of pairs are integral
+                f = TropPoly(dim, [tuple(2 * e for e in u)
+                                   for u in random_poly(rng, dim, max_monos=4).monomials])
+                mono = f.sorted_monomials()
+                g = f + TropPoly(dim, [tuple((a + b) // 2 for a, b in
+                                             zip(rng.choice(mono), rng.choice(mono)))
+                                       for _ in range(rng.randint(1, 3))])
+            elif kind == 1:
+                f = random_poly(rng, dim, max_monos=7)
+                mono = f.sorted_monomials()
+                if len(mono) > 1:
+                    mono.remove(rng.choice(mono))
+                g = TropPoly(dim, mono)
+            else:
+                f = random_poly(rng, dim, max_monos=7, bound=rng.choice((1, 3)))
+                g = random_poly(rng, dim, max_monos=7, bound=rng.choice((1, 3)))
+            if rng.random() < 0.5:
+                f, g = g, f
+            expected = reference_separating_point(f, g)
+            assert separating_point(f, g) == expected
+            assert fn_eq_on_space(f, g) == (expected is None)
+            equal += expected is None
+        assert equal >= 400
+
+    def test_shared_exponents_need_no_lp(self, monkeypatch):
+        # f and g share every vertex; only g's (1, 1) is tested, and it lies
+        # in the hull of g's other exponents, so no separator is sought
+        calls = {"in_convex_hull": 0, "strict_separator": 0}
+
+        def counted(name):
+            real = getattr(tropfan.tropoly, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(tropfan.tropoly, name, wrapper)
+
+        counted("in_convex_hull")
+        counted("strict_separator")
+        monkeypatch.setattr(TropPoly, "canonical", None)  # no equality path uses it
+        f = TropPoly(2, [(0, 0), (2, 0), (0, 2)])
+        g = f + TropPoly(2, [(1, 1)])
+        assert fn_eq_on_space(f, g)
+        assert calls == {"in_convex_hull": 1, "strict_separator": 0}
 
 
 class TestEqOnRays:

@@ -15,10 +15,10 @@ spans a one-dimensional cone, packaged as a single-parameter family: a
 primitive base matrix together with the scalar modulus forced by the target
 lattice.  Patterns admitting two or more placements span cones of dimension
 two or more; they are reported verbatim as cone records and flag the result
-inexhaustive; within an entry bound they are completed exactly by
-enumerating the bounded integer points of each record's kernel.  No step
-iterates all (classes + 1)^m patterns: records are built only for the class
-multisets that admit two or more placements.
+inexhaustive.  No step iterates all (classes + 1)^m patterns: records are
+built only for the class multisets that admit two or more placements, and
+the members within an entry bound are built once each from the bounded
+kernel points of the class multisets the circuits cover.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .cones import bounded_points, extreme_rays
 from .fan import Fan1D, GenMatrix, check_balancing, direction_classes, weighted_eval_map
 from .lattice import Lattice, LatticeSpanError, scalar_modulus, solve_int
-from .maxplus import TropVector
+from .maxplus import TropVector, exact_int
 from .tropoly import TropPoly, substitute_units
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -109,17 +109,10 @@ class HomFamily:
         return _scale_matrix(self.base, self.modulus)
 
     def matrix_for(self, s: int) -> IntMatrix:
+        s = exact_int(s)
         if s <= 0 or s % self.modulus:
             raise ValueError(f"parameter must be a positive multiple of {self.modulus}")
         return _scale_matrix(self.base, s)
-
-    def expand(self, entry_bound: int) -> Iterator[IntMatrix]:
-        """Members whose entries all have absolute value <= entry_bound."""
-        big = max(abs(e) for row in self.base for e in row)
-        s = self.modulus
-        while s * big <= entry_bound:
-            yield _scale_matrix(self.base, s)
-            s += self.modulus
 
     def sort_key(self):
         return (_assignment_key(self.assignment), self.base)
@@ -189,8 +182,7 @@ def _arrangements(counts: Sequence[tuple[int, int]],
 class HomEnumeration:
     """Complete answer set: the zero matrix, the single-parameter families,
     and cone records for multi-parameter assignments (if any, the result is
-    inexhaustive until their kernel points are enumerated within an entry
-    bound)."""
+    inexhaustive); expand lists the exact members within an entry bound."""
 
     n: int
     target_size: int
@@ -207,46 +199,45 @@ class HomEnumeration:
     def zero_matrix(self) -> IntMatrix:
         return tuple((0,) * self.target_size for _ in range(self.n))
 
-    def expand_families(self, entry_bound: int) -> set[IntMatrix]:
-        """Zero matrix plus all family members within the entry bound."""
-        out = {self.zero_matrix}
-        for fam in self.families:
-            out.update(fam.expand(entry_bound))
-        return out
-
-    def expand_cones(self, entry_bound: int) -> set[IntMatrix]:
-        """Integer members of the recorded cones within the entry bound
-        (lattice condition applied).
-
-        A member scales assigned slot b by k_b, so k is an integer point of
-        {k : sum_b k_b d_b = 0, 0 <= k_b <= entry_bound // max|d_b|} for the
-        slots' class directions d_b; those points are enumerated by
-        cones.bounded_points, once per distinct direction sequence."""
-        out: set[IntMatrix] = set()
-        class_dirs = dict(direction_classes(self.source))
-        points: dict[tuple[tuple[int, ...], ...], list[tuple[int, ...]]] = {}
-        for rec in self.cone_records:
-            prims = tuple(class_dirs[a] for a in rec.assignment if a is not None)
-            if prims not in points:
-                N = [[d[i] for d in prims] for i in range(self.n)]
-                limits = [entry_bound // max(abs(e) for e in d) for d in prims]
-                points[prims] = list(bounded_points(N, limits))
-            for ks in points[prims]:
-                M = _matrix_from_ray(rec.assignment, ks, class_dirs, self.n)
-                if self.target_lattice is not None and not all(
-                        row in self.target_lattice for row in M):
-                    continue
-                out.add(M)
-        out.discard(self.zero_matrix)
-        return out
-
     def expand(self, entry_bound: int) -> set[IntMatrix]:
         """The exact set of homomorphism matrices, the zero matrix included,
-        with every entry in [-entry_bound, entry_bound]; exact even for
-        inexhaustive results, because every integer point of each cone
-        record's kernel within the bound is enumerated.
+        with every entry in [-entry_bound, entry_bound].
+
+        A nonzero member scales each slot b of its support by some k_b >= 1
+        along its class direction d_b, with sum_b k_b d_b = 0, and class
+        directions are primitive and distinct, so each member is built once:
+        per multiset of at most m classes covered by the circuits inside it
+        (a class in no such circuit is zero in every nonnegative kernel
+        vector), the positive points of one cones.bounded_points call are
+        placed at every arrangement of the multiset over the slots.
         MorphismEnumeration.expand_T and the CLI's --expand build on it."""
-        return self.expand_families(entry_bound) | self.expand_cones(entry_bound)
+        if entry_bound < 0:
+            raise ValueError("entry bound must be nonnegative")
+        n, m, L = self.n, self.target_size, self.target_lattice
+        reps = direction_classes(self.source)
+        class_dirs = dict(reps)
+        supports = [set(labels) for labels, _ in _circuit_table(reps, n, m)]
+        live = sorted(set().union(*supports))
+        out = {self.zero_matrix}
+        for size in range(1, m + 1):
+            for multiset in itertools.combinations_with_replacement(live, size):
+                classes = set(multiset)
+                if classes != set().union(*(s for s in supports if s <= classes)):
+                    continue
+                dirs = [class_dirs[a] for a in multiset]
+                N = [[d[i] for d in dirs] for i in range(n)]
+                limits = [entry_bound // max(map(abs, d)) for d in dirs]
+                points = [k for k in bounded_points(N, limits) if all(k)]
+                counts = sorted(Counter(multiset).items())
+                for slots in _arrangements(counts, range(m)) if points else ():
+                    at = [b for a, _ in counts for b in slots[a]]  # slot of each position
+                    sigma = _spread(zip(at, multiset), m)
+                    for k in points:
+                        ray = [t for _, t in sorted(zip(at, k))]
+                        M = _matrix_from_ray(sigma, ray, class_dirs, n)
+                        if L is None or all(row in L for row in M):
+                            out.add(M)
+        return out
 
     def to_json_lines(self) -> list[str]:
         return _json_lines(({"kind": "family",
@@ -410,6 +401,7 @@ class MorphismFamily:
     base_T: IntMatrix
 
     def matrix_for(self, k: int) -> IntMatrix:
+        k = exact_int(k)
         if k <= 0:
             raise ValueError("parameter must be a positive integer")
         return _scale_matrix(self.base_T, k)

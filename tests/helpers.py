@@ -217,6 +217,23 @@ def reference_expand_cones(enum, bound):
     return out
 
 
+def reference_expand(enum, bound):
+    """The members of an enumeration within the entry bound, from its
+    families and cone records: the zero matrix, each family's multiples of
+    its modulus whose entries stay in [-bound, bound], and
+    reference_expand_cones.  The library builds each member once from the
+    class multisets instead; this is the record-based expansion it is
+    checked against."""
+    out = {enum.zero_matrix}
+    for fam in enum.families:
+        big = max(abs(e) for row in fam.base for e in row)
+        s = fam.modulus
+        while s * big <= bound:
+            out.add(scale_matrix(fam.base, s))
+            s += fam.modulus
+    return out | reference_expand_cones(enum, bound)
+
+
 def reference_separating_point(f: TropPoly, g: TropPoly):
     """separating_point by comparing the two canonical forms: None when the
     vertex sets coincide, else the first canonical exponent of f, then of g,

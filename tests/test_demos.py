@@ -20,3 +20,12 @@ def test_demo_runs(demo):
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_benchmark_reference_counts():
+    # perfbench/sanity.py exits 1 unless X -> full:5 has 120 families and
+    # 1,500 cone records, Y -> 5 labels into the X lattice 0 and 330, and
+    # the latter's expansion within entry bound 6 has 9 matrices
+    proc = subprocess.run([sys.executable, "perfbench/sanity.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

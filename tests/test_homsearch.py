@@ -17,7 +17,7 @@ from tropfan.fan import direction_classes
 from helpers import (B1, B2, FAN_X, FAN_Y, box_hom_oracle, column_permutations,
                      genmatrix_x, genmatrix_y, lattice_y, random_degree_zero_row,
                      random_source_with_classes, reference_enumerate_homs,
-                     reference_expand_cones, scale_matrix)
+                     reference_expand, reference_expand_cones, scale_matrix)
 
 
 def vecs(matrix):
@@ -101,8 +101,7 @@ class TestEnumerateFullTarget:
         enum = enumerate_homs(gm, 2)
         for fam in enum.families:
             assert all(a in (None, 0, 2) for a in fam.assignment)
-        mine = enum.expand_families(6) if not enum.inexhaustive else enum.expand(6)
-        assert mine == box_hom_oracle(gm, 2, None, 6)
+        assert enum.expand(6) == box_hom_oracle(gm, 2, None, 6)
 
     def test_family_soundness(self):
         enum = enumerate_homs(genmatrix_x(), 3)
@@ -111,6 +110,13 @@ class TestEnumerateFullTarget:
                 M = fam.matrix_for(s)
                 assert all(sum(row) == 0 for row in M)
                 assert geometric_check(vecs(M), genmatrix_x()) is not None
+
+    @pytest.mark.parametrize("s", [2.0, 1.5, True, "2"])
+    def test_matrix_for_requires_an_integer(self, s):
+        fam = enumerate_homs(genmatrix_x(), 3).families[0]
+        with pytest.raises(ValueError, match="expected an integer"):
+            fam.matrix_for(s)
+        assert fam.matrix_for(Fraction(2)) == scale_matrix(fam.base, 2)
 
     def test_bases_are_primitive(self):
         from math import gcd
@@ -232,11 +238,8 @@ class TestCompleteness:
                 gens = [random_degree_zero_row(rng, s) for _ in range(rng.randint(1, 2))]
                 lattice = Lattice.from_rows(gens)
             enum = enumerate_homs(gm, s, lattice)
-            if enum.inexhaustive:
-                assert enum.expand(6) == box_hom_oracle(gm, s, lattice, 6)
-                continue
-            assert enum.expand_families(6) == box_hom_oracle(gm, s, lattice, 6)
-            done += 1
+            assert enum.expand(6) == box_hom_oracle(gm, s, lattice, 6)
+            done += not enum.inexhaustive
 
 
 class TestHomFromImages:
@@ -399,6 +402,14 @@ class TestEnumerateMorphisms:
                     img = tuple(sum(T[i][j] * d[j] for j in range(2)) for i in range(3))
                     if any(img):
                         assert primitive(img) in dirs_x
+
+    @pytest.mark.parametrize("k", [1.5, 2.0, True, "1"])
+    def test_matrix_for_requires_an_integer(self, k):
+        # a fractional k would give a matrix that is no morphism
+        fam = enumerate_morphisms(FAN_Y, FAN_X).families[0]
+        with pytest.raises(ValueError, match="expected an integer"):
+            fam.matrix_for(k)
+        assert fam.matrix_for(Fraction(2)) == scale_matrix(fam.base_T, 2)
 
 
 class TestComposition:
@@ -579,7 +590,7 @@ EXPAND_MORPHS = [
 
 
 class TestKernelExpansion:
-    def test_expand_cones_matches_box_reference(self):
+    def test_expand_matches_box_reference(self):
         # the bound is lowered only where the reference's box would exceed
         # BUDGET candidates, to keep the reference scan short
         BUDGET = 20_000
@@ -606,9 +617,9 @@ class TestKernelExpansion:
             sizes[m] += 1
             bounds[bound] += 1
             with_records += bool(enum.cone_records)
-            mine = enum.expand_cones(bound)
-            assert mine == reference_expand_cones(enum, bound), (source, m, lattice, bound)
-            members += len(mine)
+            mine = enum.expand(bound)
+            assert mine == reference_expand(enum, bound), (source, m, lattice, bound)
+            members += len(mine) - 1
         assert all(kinds[k] for k in ("zero", "parallel", "antiparallel"))
         assert set(sizes) == {2, 3, 4, 5}
         assert set(bounds) == set(range(7))
@@ -636,10 +647,42 @@ class TestKernelExpansion:
 
     def test_candidate_count_gate(self, monkeypatch):
         # work-counter gate: Y -> 5 labels into the X lattice at bound 4
-        # builds 157,500 candidate matrices by a search over the whole box;
-        # solving the kernel leaves a few thousand
+        # builds 157,500 candidate matrices by a search over the whole box
+        # and 1,830 by solving the kernel of every cone record; solving it
+        # once per class multiset leaves a few hundred, which the lattice
+        # filter cuts to the 4 nonzero members
         enum = enumerate_homs(genmatrix_y(), 5, Lattice.from_rows(list(genmatrix_x().matrix())))
         built = count_calls(monkeypatch, "_matrix_from_ray")
-        members = enum.expand_cones(4)
-        assert len(built) <= 2500
-        assert len(members) == 4
+        members = enum.expand(4)
+        assert len(built) <= 400
+        assert len(members) == 5
+
+    @pytest.mark.parametrize("rows, bound", [
+        (genmatrix_x().matrix(), 3),
+        ([(1, 0, -1, 0), (0, 1, 0, -1)], 2),
+        ([(1, -1, 1, 2, 1), (0, 0, 1, 1, 2)], 2),
+    ], ids=["X", "antiparallel-pairs", "planar-five"])
+    def test_expand_builds_each_member_once(self, monkeypatch, rows, bound):
+        # into a full target every candidate is a member, and no member is
+        # built twice: the record-based expansion built 9,580, 18,360 and
+        # 10,690 candidates here
+        enum = enumerate_homs(GenMatrix.from_matrix(rows), 5)
+        built = count_calls(monkeypatch, "_matrix_from_ray")
+        members = enum.expand(bound)
+        assert len(built) == len(members) - 1
+
+    def test_source_without_circuits_solves_no_kernel(self, monkeypatch):
+        # every column lies in the open positive quadrant, so no class lies
+        # in a circuit and no class multiset has a positive kernel point
+        gm = GenMatrix.from_matrix([(1, 1, 2, 1, 3), (1, 2, 1, 3, 1)])
+        enum = enumerate_homs(gm, 10)
+        solved = count_calls(monkeypatch, "bounded_points")
+        assert enum.expand(3) == {enum.zero_matrix}
+        assert solved == []
+
+    def test_negative_bound_rejected(self):
+        enum = enumerate_homs(genmatrix_x(), 3)
+        with pytest.raises(ValueError, match="entry bound must be nonnegative"):
+            enum.expand(-1)
+        with pytest.raises(ValueError, match="entry bound must be nonnegative"):
+            enumerate_morphisms(FAN_Y, FAN_X).expand_T(-1)

@@ -23,6 +23,19 @@ class TestIntegerize:
             integerize((0, 0))
 
 
+# a float names another point (Fraction(0.1) keeps the binary expansion),
+# a bool is no coordinate, and a string is no number
+INEXACT_POINTS = [(0.1, 0.2, 1), (1, 2, True), ("1", 2, 3), (1.0, 2, 3)]
+
+
+@pytest.mark.parametrize("p", INEXACT_POINTS, ids=repr)
+def test_inexact_coordinates_rejected(p):
+    for call in (integerize, orth_basis, lambda q: separating_pair(FAN_X.directions, q),
+                 lambda q: in_congruence_variety(q, FAN_X.directions)):
+        with pytest.raises(ValueError, match="expected an integer or a Fraction"):
+            call(p)
+
+
 class TestOrthBasis:
     def test_plane_examples(self):
         assert orth_basis((0, 1)) == [(1, 0)]

@@ -1,82 +1,115 @@
-"""Exact rational linear feasibility via a phase-I simplex with Bland's rule.
+"""Exact rational linear feasibility via a fraction-free phase-I simplex.
 
-Solves "find x >= 0 with A x = b" over Fractions, with no tolerances: the
-answer is exact.  Bland's pivoting rule guarantees termination despite
-degeneracy.  This is the workhorse behind convex-hull redundancy tests and
-separating-point certificates.
+Solves "find x >= 0 with A x = b" with no tolerances: the answer is exact.
+The whole problem is scaled by the common denominator of its entries and
+pivoted on an integer tableau with exact division (Edmonds 1967; Bareiss
+1968), so Fractions appear only at the boundary: in checking rational input
+and in reading the solution.  Bland's pivoting rule guarantees termination
+despite degeneracy.  This is the workhorse behind convex-hull redundancy
+tests and separating-point certificates.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
+
+from .maxplus import exact_rational
+
+
+def _entry(e):
+    return e if type(e) is int else exact_rational(e)
 
 
 def solve_eq_nonneg(A: Sequence[Sequence], b: Sequence) -> Optional[list[Fraction]]:
-    """Return x >= 0 with A x = b, or None when the system is infeasible."""
+    """Return x >= 0 with A x = b, or None when the system is infeasible.
+
+    Entries must be ints or rationals.  Rows are [A | b] times the least
+    common denominator D0 of all entries, so the integer tableau T always
+    equals D times the true tableau, where D is the last pivot (D0's own
+    factor cancels: uniform scaling moves neither the pivots nor x).  A pivot
+    on p = T[r][e] keeps row r and maps every other row, the reduced-cost row
+    included, to (p * T[i] - T[i][e] * T[r]) // D, a division that is always
+    exact.  Every pivot is positive, so every sign and every ratio comparison
+    is that of the Fraction tableau, and Bland's rule picks the same pivots.
+    """
     m = len(A)
+    if len(b) != m:
+        raise ValueError(f"A has {m} rows but b has {len(b)} entries")
     if m == 0:
         return []
     n = len(A[0])
-    rows = []
-    rhs = []
-    for i in range(m):
-        r = [Fraction(e) for e in A[i]]
-        v = Fraction(b[i])
-        if v < 0:
-            r = [-e for e in r]
-            v = -v
-        rows.append(r)
-        rhs.append(v)
+    if any(len(row) != n for row in A):
+        raise ValueError("the rows of A differ in length")
+    rows = [[_entry(e) for e in row] + [_entry(v)] for row, v in zip(A, b)]
+    dens = [e.denominator for row in rows for e in row if type(e) is not int]
+    if dens:
+        den = lcm(*dens)
+        rows = [[e * den if type(e) is int else e.numerator * (den // e.denominator)
+                 for e in row] for row in rows]
 
     # Tableau columns: n real variables, m artificials, then the rhs.
     width = n + m
-    T = [rows[i] + [Fraction(int(j == i)) for j in range(m)] + [rhs[i]]
-         for i in range(m)]
+    T = []
+    for i, row in enumerate(rows):
+        if row[n] < 0:
+            row = [-e for e in row]
+        T.append(row[:n] + [int(j == i) for j in range(m)] + row[n:])
     basis = [n + i for i in range(m)]
 
     # Phase-I objective: minimize the artificial sum. Reduced-cost row for
-    # the initial artificial basis is the negated column sums over [A | I | b].
-    cost = [Fraction(0)] * n + [Fraction(1)] * m
-    red = [-sum(T[i][j] for i in range(m)) for j in range(width + 1)]
-    for j in range(width):
-        red[j] += cost[j]
+    # the initial artificial basis is the negated column sums over [A | I | b]
+    # plus the unit costs of the artificials.
+    red = [-sum(col) for col in zip(*T)]
+    for j in range(n, width):
+        red[j] += 1
 
+    D = 1
     while True:
         enter = next((j for j in range(width) if red[j] < 0), None)
         if enter is None:
             break
         leave = None
-        best = None
         for i in range(m):
             a = T[i][enter]
             if a > 0:
-                ratio = T[i][width] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                if leave is None:
+                    leave = i
+                    continue
+                # ratio T[i][w] / a against T[leave][w] / T[leave][enter]
+                lhs = T[i][width] * T[leave][enter]
+                rhs = T[leave][width] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             # Unbounded phase-I cannot happen (objective bounded below by 0);
             # guard anyway.
             return None
-        piv = T[leave][enter]
-        T[leave] = [e / piv for e in T[leave]]
+        prow = T[leave]
+        p = prow[enter]
         for i in range(m):
-            if i != leave and T[i][enter]:
+            if i != leave:
                 f = T[i][enter]
-                T[i] = [e - f * g for e, g in zip(T[i], T[leave])]
-        if red[enter]:
-            f = red[enter]
-            red = [e - f * g for e, g in zip(red, T[leave])]
+                T[i] = [(p * e - f * g) // D for e, g in zip(T[i], prow)]
+        f = red[enter]
+        red = [(p * e - f * g) // D for e, g in zip(red, prow)]
+        D = p
         basis[leave] = enter
 
-    if -red[width] != 0:
+    if red[width] != 0:
         return None
     x = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = T[i][width]
+            x[basis[i]] = Fraction(T[i][width], D)
     return x
+
+
+def _check_dims(dim: int, pts: Sequence[Sequence]) -> None:
+    for v in pts:
+        if len(v) != dim:
+            raise ValueError(f"point {tuple(v)} has {len(v)} coordinates, expected {dim}")
 
 
 def in_convex_hull(point: Sequence, vertices: Sequence[Sequence]) -> bool:
@@ -85,9 +118,10 @@ def in_convex_hull(point: Sequence, vertices: Sequence[Sequence]) -> bool:
     if not pts:
         return False
     dim = len(point)
-    A = [[Fraction(p[i]) for p in pts] for i in range(dim)]
+    _check_dims(dim, pts)
+    A = [[exact_rational(p[i]) for p in pts] for i in range(dim)]
     A.append([Fraction(1)] * len(pts))
-    b = [Fraction(e) for e in point] + [Fraction(1)]
+    b = [exact_rational(e) for e in point] + [Fraction(1)]
     return solve_eq_nonneg(A, b) is not None
 
 
@@ -101,11 +135,13 @@ def strict_separator(point: Sequence, others: Sequence[Sequence]) -> Optional[li
     dim = len(point)
     if not pts:
         raise ValueError("need at least one point to separate from")
+    _check_dims(dim, pts)
     k = len(pts)
+    u = [exact_rational(e) for e in point]
     A = []
     b = []
     for idx, v in enumerate(pts):
-        diff = [Fraction(point[i]) - Fraction(v[i]) for i in range(dim)]
+        diff = [u[i] - exact_rational(v[i]) for i in range(dim)]
         row = diff + [-e for e in diff] + [Fraction(-int(j == idx)) for j in range(k)]
         A.append(row)
         b.append(Fraction(1))

@@ -11,6 +11,7 @@ entrywise negation.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Iterator, Optional
 
@@ -32,6 +33,16 @@ def exact_int(value) -> int:
             and value.denominator == 1:
         return int(value)
     raise ValueError(f"expected an integer, got {value!r}")
+
+
+def exact_rational(value) -> Fraction:
+    """A rational entry as a Fraction; only ints and non-bool rationals
+    qualify, since a float's binary expansion would name another number."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, Rational) and not isinstance(value, bool):
+        return Fraction(value)
+    raise ValueError(f"expected an integer or a Fraction, got {value!r}")
 
 
 def ext_max(a: Optional[int], b: Optional[int]) -> Optional[int]:

@@ -20,20 +20,13 @@ from typing import Optional, Sequence
 
 from .fan import primitive
 from .lattice import hnf
+from .maxplus import exact_rational
 from .tropoly import TropPoly
-
-
-def _exact(e) -> Fraction:
-    """A coordinate as a Fraction; only ints and non-bool rationals qualify,
-    since a float's binary expansion would name another point."""
-    if isinstance(e, Rational) and not isinstance(e, bool):
-        return Fraction(e)
-    raise ValueError(f"expected an integer or a Fraction, got {e!r}")
 
 
 def integerize(p: Sequence[Rational]) -> tuple[int, ...]:
     """Scale a nonzero rational vector to its primitive integer direction."""
-    fr = [_exact(e) for e in p]
+    fr = [exact_rational(e) for e in p]
     if not any(fr):
         raise ValueError("the zero vector has no direction")
     scale = lcm(*(e.denominator for e in fr))
@@ -97,7 +90,7 @@ def separating_pair(z_dirs: Sequence[Sequence[int]],
     never zero there, because vanishing against the whole orthogonal basis
     would force d parallel to p, contradicting the point being off-support.
     """
-    point = tuple(map(_exact, p))
+    point = tuple(map(exact_rational, p))
     if not any(point):
         raise PointInSupportError("the origin lies in every cone-closed set")
     d1 = integerize(point)

@@ -256,3 +256,74 @@ def reference_separating_point(f: TropPoly, g: TropPoly):
             if w is not None:
                 return tuple(w)
     raise AssertionError("distinct hulls must admit a separating vertex")
+
+
+def reference_solve_eq_nonneg(A, b):
+    """Return x >= 0 with A x = b, or None when the system is infeasible.
+
+    The Bland's-rule phase-I simplex on a Fraction tableau that
+    exactlp.solve_eq_nonneg replaced with its integer tableau; kept as the
+    differential oracle for the pivots and the returned x."""
+    m = len(A)
+    if m == 0:
+        return []
+    n = len(A[0])
+    rows = []
+    rhs = []
+    for i in range(m):
+        r = [Fraction(e) for e in A[i]]
+        v = Fraction(b[i])
+        if v < 0:
+            r = [-e for e in r]
+            v = -v
+        rows.append(r)
+        rhs.append(v)
+
+    # Tableau columns: n real variables, m artificials, then the rhs.
+    width = n + m
+    T = [rows[i] + [Fraction(int(j == i)) for j in range(m)] + [rhs[i]]
+         for i in range(m)]
+    basis = [n + i for i in range(m)]
+
+    # Phase-I objective: minimize the artificial sum. Reduced-cost row for
+    # the initial artificial basis is the negated column sums over [A | I | b].
+    cost = [Fraction(0)] * n + [Fraction(1)] * m
+    red = [-sum(T[i][j] for i in range(m)) for j in range(width + 1)]
+    for j in range(width):
+        red[j] += cost[j]
+
+    while True:
+        enter = next((j for j in range(width) if red[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            a = T[i][enter]
+            if a > 0:
+                ratio = T[i][width] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            # Unbounded phase-I cannot happen (objective bounded below by 0);
+            # guard anyway.
+            return None
+        piv = T[leave][enter]
+        T[leave] = [e / piv for e in T[leave]]
+        for i in range(m):
+            if i != leave and T[i][enter]:
+                f = T[i][enter]
+                T[i] = [e - f * g for e, g in zip(T[i], T[leave])]
+        if red[enter]:
+            f = red[enter]
+            red = [e - f * g for e, g in zip(red, T[leave])]
+        basis[leave] = enter
+
+    if -red[width] != 0:
+        return None
+    x = [Fraction(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = T[i][width]
+    return x

@@ -1,10 +1,14 @@
+import fractions
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from tropfan import exactlp
 from tropfan.exactlp import in_convex_hull, solve_eq_nonneg, strict_separator
+from helpers import reference_solve_eq_nonneg
 
 
 class TestFeasibility:
@@ -128,3 +132,127 @@ class TestSeparator:
     def test_requires_points(self):
         with pytest.raises(ValueError):
             strict_separator((1, 0), [])
+
+
+class TestInputBoundary:
+    # a float names another number (Fraction(0.1) keeps the binary
+    # expansion), a bool is no entry, and a string is no number
+    @pytest.mark.parametrize("A, b", [
+        ([[0.1]], [0.1]),
+        ([[1, "2"]], [1]),
+        ([[True, 1]], [1]),
+        ([[1, 2]], [1.5]),
+    ])
+    def test_inexact_entries_rejected(self, A, b):
+        with pytest.raises(ValueError, match="expected an integer or a Fraction"):
+            solve_eq_nonneg(A, b)
+
+    def test_rhs_length_must_match(self):
+        with pytest.raises(ValueError, match="rows but b has"):
+            solve_eq_nonneg([[1, 2]], [1, 1])
+        with pytest.raises(ValueError, match="rows but b has"):
+            solve_eq_nonneg([], [1])
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            solve_eq_nonneg([[1, 2], [1]], [1, 1])
+
+    def test_integral_fractions_accepted(self):
+        assert solve_eq_nonneg([[Fraction(2), 1]], [Fraction(4, 2)]) == [1, 0]
+
+    def test_hull_points_must_share_dimension(self):
+        with pytest.raises(ValueError, match="coordinates, expected 2"):
+            in_convex_hull((0, 0), [(0, 0, 5), (1, 0, 5)])
+        with pytest.raises(ValueError, match="expected an integer or a Fraction"):
+            in_convex_hull((0.5, 0), [(0, 0), (1, 0)])
+
+    def test_separator_points_must_share_dimension(self):
+        with pytest.raises(ValueError, match="coordinates, expected 2"):
+            strict_separator((2, 0), [(0,)])
+        with pytest.raises(ValueError, match="expected an integer or a Fraction"):
+            strict_separator((2, 0), [(0, True)])
+
+
+def _random_system(rng, k):
+    """One seeded system: int or Fraction data; feasible by construction,
+    b = 0, or a random (mostly infeasible) right-hand side; sometimes with a
+    redundant row or a zero row."""
+    m = rng.randint(1, 6)
+    n = rng.randint(1, 9)
+    if k % 2:
+        def entry():
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+    else:
+        def entry():
+            return rng.randint(-5, 5)
+    A = [[entry() for _ in range(n)] for _ in range(m)]
+    kind = k % 3
+    if kind == 0:
+        x0 = [rng.choice((0, 0, 1, 2, Fraction(1, 3))) for _ in range(n)]
+        b = [sum(a * x for a, x in zip(row, x0)) for row in A]
+    elif kind == 1:
+        b = [0] * m
+    else:
+        b = [entry() for _ in range(m)]
+    if m > 1 and k % 5 == 0:
+        s = rng.choice((-2, 1, 3))
+        A[-1] = [s * a for a in A[0]]
+        b[-1] = s * b[0]
+    if k % 7 == 0:
+        A[rng.randrange(m)] = [0] * n
+    return A, b
+
+
+class TestDifferential:
+    """The integer tableau against the Fraction-tableau simplex it replaced:
+    the same pivots give the same x, not only the same feasibility."""
+
+    def test_same_solution_as_fraction_tableau(self):
+        rng = random.Random(20231)
+        outcomes = set()
+        for k in range(20000):
+            A, b = _random_system(rng, k)
+            x = solve_eq_nonneg(A, b)
+            assert x == reference_solve_eq_nonneg(A, b), (A, b)
+            if x is not None:
+                assert all(type(v) is Fraction for v in x)
+            outcomes.add(x is None)
+        assert outcomes == {True, False}
+
+    def test_hull_and_separator_same_as_fraction_tableau(self, monkeypatch):
+        rng = random.Random(4099)
+        cases = []
+        for k in range(2000):
+            dim = rng.randint(1, 4)
+            coord = (lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 3))) \
+                if k % 2 else (lambda: rng.randint(-4, 4))
+            pts = [tuple(coord() for _ in range(dim)) for _ in range(rng.randint(1, 6))]
+            u = rng.choice(pts) if k % 4 == 0 else tuple(coord() for _ in range(dim))
+            cases.append((u, pts))
+        got = [(in_convex_hull(u, pts), strict_separator(u, pts)) for u, pts in cases]
+        monkeypatch.setattr(exactlp, "solve_eq_nonneg", reference_solve_eq_nonneg)
+        want = [(in_convex_hull(u, pts), strict_separator(u, pts)) for u, pts in cases]
+        assert got == want
+        assert {h for h, _ in got} == {True, False}
+
+
+def test_integer_data_stays_off_fractions():
+    """Integer data is pivoted without Fractions: only reading x builds them
+    (at most one per variable), where the Fraction tableau made 1,582 calls
+    into fractions.py on this system."""
+    A = [[1, 2, -1, 0, 3], [0, 1, 1, -2, 1], [2, -1, 0, 1, 1]]
+    b = [4, 1, 3]
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        x = solve_eq_nonneg(A, b)
+    finally:
+        sys.setprofile(None)
+    assert x == reference_solve_eq_nonneg(A, b)
+    assert calls <= len(A[0])

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from tropfan import (LabelMismatchError, NotAUnitError, TropVector, ext_add,
                      ext_max, zero_unit)
+from tropfan.maxplus import exact_rational
 
 entries = st.lists(st.integers(-50, 50), min_size=1, max_size=6)
 pairs = st.integers(1, 6).flatmap(
@@ -118,6 +119,18 @@ def test_integral_rationals_accepted():
     v = TropVector([Fraction(4, 2), -2])
     assert v == TropVector([2, -2])
     assert all(type(e) is int for e in v.entries)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, "1", None])
+def test_exact_rational_refuses_inexact_values(bad):
+    with pytest.raises(ValueError, match="expected an integer or a Fraction"):
+        exact_rational(bad)
+
+
+def test_exact_rational_returns_fractions():
+    half = Fraction(1, 2)
+    assert exact_rational(half) is half
+    assert type(exact_rational(3)) is Fraction and exact_rational(3) == 3
 
 
 def test_json_round_trip():

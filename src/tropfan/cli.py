@@ -101,10 +101,10 @@ def cmd_homs(args) -> int:
     source = _load_genmatrix(args.source)
     target = args.target
     if target.startswith("full:"):
-        try:
-            size = int(target.split(":", 1)[1])
-        except ValueError as exc:
-            raise InputError(f"bad target {target!r}: expected full:<size>") from exc
+        digits = target.split(":", 1)[1]
+        if not digits.isdecimal():
+            raise InputError(f"bad target {target!r}: expected full:<size>")
+        size = int(digits)
         if size < 1:
             raise InputError(f"bad target {target!r}: the size must be positive")
         if size > sys.maxsize:

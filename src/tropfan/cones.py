@@ -20,6 +20,7 @@ from math import gcd
 from typing import Iterator, Sequence
 
 from .fan import primitive
+from .maxplus import exact_int
 
 
 def extreme_rays(N: Sequence[Sequence[int]], n_vars: int) -> list[tuple[int, ...]]:
@@ -28,10 +29,12 @@ def extreme_rays(N: Sequence[Sequence[int]], n_vars: int) -> list[tuple[int, ...
     Returns primitive integer representatives, lex-sorted; the empty list
     means the cone is the origin alone.
     """
+    n_vars = exact_int(n_vars)
+    N = [[exact_int(e) for e in w] for w in N]
+    if any(len(w) != n_vars for w in N):
+        raise ValueError("constraint length disagrees with variable count")
     rays = [tuple(int(i == j) for j in range(n_vars)) for i in range(n_vars)]
     for w in N:
-        if len(w) != n_vars:
-            raise ValueError("constraint length disagrees with variable count")
         vals = {r: sum(a * b for a, b in zip(w, r)) for r in rays}
         zero = [r for r in rays if vals[r] == 0]
         pos = [r for r in rays if vals[r] > 0]
@@ -75,8 +78,9 @@ def bounded_points(N: Sequence[Sequence[int]],
     f; a point is kept only if every such division is exact and lands in
     [0, limits[j]].
     """
+    limits = [exact_int(e) for e in limits]
     p = len(limits)
-    pending = [list(w) for w in N]
+    pending = [[exact_int(e) for e in w] for w in N]
     if any(len(w) != p for w in pending):
         raise ValueError("constraint length disagrees with variable count")
     pivots: list[tuple[int, list[int]]] = []

@@ -74,6 +74,7 @@ class Fan1D:
     __slots__ = ("ambient_dim", "rays")
 
     def __init__(self, ambient_dim: int, rays: Iterable[Ray]):
+        ambient_dim = exact_int(ambient_dim)
         if ambient_dim < 1:
             raise ValueError("ambient dimension must be positive")
         rays = tuple(rays)

@@ -10,15 +10,16 @@ the codomain to a subsemiring adds a lattice-membership condition on the
 rows.  Each column-assignment pattern's scaling cone {t >= 0 : N t = 0} has
 its positive circuits as extreme rays; a positive circuit never uses two
 parallel columns, so every pattern's rays are placements of the circuits of
-the direction classes, computed once per enumeration.  A placement alone
-spans a one-dimensional cone, packaged as a single-parameter family: a
-primitive base matrix together with the scalar modulus forced by the target
-lattice.  Patterns admitting two or more placements span cones of dimension
-two or more; they are reported verbatim as cone records and flag the result
-inexhaustive.  No step iterates all (classes + 1)^m patterns: records are
-built only for the class multisets that admit two or more placements, and
-the members within an entry bound are built once each from the bounded
-kernel points of the class multisets the circuits cover.
+the direction classes.  Those are the extreme rays of one cone, over all
+classes at once, so one double description per enumeration finds them.  A
+placement alone spans a one-dimensional cone, packaged as a one-parameter
+family: a primitive base matrix together with the scalar modulus forced by
+the target lattice.  Patterns admitting two or more placements span cones of
+dimension two or more; they are reported verbatim as cone records and flag
+the result inexhaustive.  No step iterates all (classes + 1)^m patterns:
+records are built only for the class multisets that admit two or more
+placements, and the members within an entry bound are built once each from
+the bounded kernel points of the class multisets the circuits cover.
 """
 
 from __future__ import annotations
@@ -136,16 +137,13 @@ def _assignment_key(assignment: Assignment) -> tuple[int, ...]:
 
 def _circuit_table(reps: list[tuple[int, tuple[int, ...]]], n: int,
                    target_size: int) -> list[Circuit]:
-    """Every placeable positive circuit of the class directions: the
-    full-support extreme rays on subsets of at most min(n + 1, target_size)
-    classes (a circuit has <= n + 1 columns; placements are injective)."""
-    table = []
-    for size in range(1, min(len(reps), n + 1, target_size) + 1):
-        for subset in itertools.combinations(reps, size):
-            N = [[d[i] for _, d in subset] for i in range(n)]
-            labels = tuple(a for a, _ in subset)
-            table.extend((labels, ray) for ray in extreme_rays(N, size) if all(ray))
-    return table
+    """Every placeable positive circuit of the class directions: the extreme
+    rays of {t >= 0 : sum_a t_a d_a = 0}, which are its minimal-support
+    points, from one double description over all classes, kept when they use
+    at most target_size classes (placements are injective)."""
+    N = [[d[i] for _, d in reps] for i in range(n)]
+    on = ([(a, t) for (a, _), t in zip(reps, ray) if t] for ray in extreme_rays(N, len(reps)))
+    return [tuple(zip(*pairs)) for pairs in on if len(pairs) <= target_size]
 
 
 def _matrix_from_ray(sigma: Assignment, ray: Sequence[int],
@@ -211,6 +209,7 @@ class HomEnumeration:
         vector), the positive points of one cones.bounded_points call are
         placed at every arrangement of the multiset over the slots.
         MorphismEnumeration.expand_T and the CLI's --expand build on it."""
+        entry_bound = exact_int(entry_bound)
         if entry_bound < 0:
             raise ValueError("entry bound must be nonnegative")
         n, m, L = self.n, self.target_size, self.target_lattice
@@ -275,6 +274,7 @@ def enumerate_homs(source: GenMatrix, target_size: int,
     two or more placements, from the placement matrices already computed.
     The output is deterministically sorted.
     """
+    target_size = exact_int(target_size)
     if target_size < 1:
         raise ValueError("target label count must be positive")
     if target_lattice is not None and target_lattice.ambient != target_size:

@@ -143,6 +143,7 @@ class Lattice:
             if not rows:
                 raise ValueError("ambient dimension needed for an empty generator list")
             ambient = len(rows[0])
+        ambient = exact_int(ambient)
         if rows and len(rows[0]) != ambient:
             raise ValueError("generator length disagrees with ambient dimension")
         H, _ = hnf(rows)

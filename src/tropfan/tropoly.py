@@ -41,6 +41,7 @@ class TropPoly:
     __slots__ = ("dim", "monomials")
 
     def __init__(self, dim: int, monomials: Iterable[Sequence[int]]):
+        dim = exact_int(dim)
         if dim < 1:
             raise ValueError("ambient dimension must be positive")
         mono = frozenset(tuple(map(exact_int, u)) for u in monomials)
@@ -60,7 +61,7 @@ class TropPoly:
     @classmethod
     def one(cls, dim: int) -> "TropPoly":
         """The multiplicative identity: the single zero exponent."""
-        return cls(dim, [(0,) * dim])
+        return cls(dim, [(0,) * exact_int(dim)])
 
     @property
     def is_zero(self) -> bool:

@@ -151,6 +151,26 @@ def reference_assignment_rays(sigma, source: GenMatrix):
     return extreme_rays([[c[i] for c in cols] for i in range(source.n)], len(cols))
 
 
+def reference_circuit_table(reps, n: int, target_size: int):
+    """Every placeable positive circuit of the class directions: the
+    full-support extreme rays on subsets of at most min(n + 1, target_size)
+    classes (a circuit has <= n + 1 columns; placements are injective).
+
+    The class-subset loop, one double description per subset, that
+    homsearch._circuit_table replaced with a single run over all classes;
+    kept as the differential oracle for the circuit set."""
+    import itertools
+    from tropfan import extreme_rays
+
+    table = []
+    for size in range(1, min(len(reps), n + 1, target_size) + 1):
+        for subset in itertools.combinations(reps, size):
+            N = [[d[i] for _, d in subset] for i in range(n)]
+            labels = tuple(a for a, _ in subset)
+            table.extend((labels, ray) for ray in extreme_rays(N, size) if all(ray))
+    return table
+
+
 def reference_enumerate_homs(source: GenMatrix, target_size: int, lattice=None):
     """enumerate_homs by scanning every one of the (classes + 1)^m column
     assignments: each assignment's rays come from reference_assignment_rays;

@@ -376,6 +376,9 @@ def test_byte_determinism_across_runs(fan_files):
     ("check", "{binary}"),
     ("homs", "{x}", "full:99999999999999999999"),
     ("homs", "{x}", "{y}", "--jobs", "2"),
+    ("homs", "{x}", "full:1_0"),
+    ("homs", "{x}", "full: 3"),
+    ("homs", "{x}", "full:+3"),
 ])
 def test_input_errors_exit_2_without_traceback(fan_files, tmp_path, args):
     x, y = fan_files

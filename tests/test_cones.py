@@ -125,3 +125,24 @@ def test_bounded_points_small_cases():
 def test_bounded_points_rejects_ragged_constraints():
     with pytest.raises(ValueError):
         list(bounded_points([[1, 2]], [1, 1, 1]))
+
+
+@pytest.mark.parametrize("call, bad", [
+    (lambda: extreme_rays([[True, -1]], 2), "True"),
+    (lambda: extreme_rays([[1.5, -1]], 2), "1.5"),
+    (lambda: extreme_rays([[1, -1]], 2.0), "2.0"),
+    (lambda: list(bounded_points([[1.5, -1]], [3, 3])), "1.5"),
+    (lambda: list(bounded_points([[1, -1]], [2.5, 2])), "2.5"),
+    (lambda: list(bounded_points([[1, -1]], [True, 2])), "True"),
+], ids=["ray-bool", "ray-float", "ray-n-vars", "points-float", "points-limit",
+        "points-bool-limit"])
+def test_non_integer_input_rejected(call, bad):
+    # exactness: entries, n_vars and limits are never truncated, and the
+    # error names the value the caller passed
+    with pytest.raises(ValueError, match=f"expected an integer, got {bad}$"):
+        call()
+
+
+def test_integral_rationals_accepted():
+    assert extreme_rays([[Fraction(2), -2]], Fraction(2)) == [(1, 1)]
+    assert list(bounded_points([[Fraction(4, 2), -2]], [Fraction(1), 1])) == [(0, 0), (1, 1)]

@@ -57,6 +57,12 @@ class TestFanValidation:
         with pytest.raises(ValueError):
             Fan1D(3, [Ray([1, 0])])
 
+    @pytest.mark.parametrize("dim", [2.0, True, "2"])
+    def test_non_integer_dimension_rejected(self, dim):
+        with pytest.raises(ValueError, match="expected an integer"):
+            Fan1D(dim, [Ray([1, 0])])
+        assert Fan1D(Fraction(2), [Ray([1, 0])]).ambient_dim == 2
+
     def test_json_round_trip(self):
         again = Fan1D.from_json_dict(json.loads(json.dumps(FAN_X.to_json_dict())))
         assert again == FAN_X

@@ -16,7 +16,8 @@ from tropfan.fan import direction_classes
 
 from helpers import (B1, B2, FAN_X, FAN_Y, box_hom_oracle, column_permutations,
                      genmatrix_x, genmatrix_y, lattice_y, random_degree_zero_row,
-                     random_source_with_classes, reference_enumerate_homs,
+                     random_primitive_direction, random_source_with_classes,
+                     reference_circuit_table, reference_enumerate_homs,
                      reference_expand, reference_expand_cones, scale_matrix)
 
 
@@ -93,6 +94,13 @@ class TestEnumerateFullTarget:
             enumerate_homs(genmatrix_x(), 0)
         with pytest.raises(ValueError):
             enumerate_homs(genmatrix_x(), 3, Lattice.from_rows([(1, -1)]))
+
+    @pytest.mark.parametrize("size", [True, 3.0, 2.5, "3"])
+    def test_non_integer_target_size_rejected(self, size):
+        # enumerate_homs(True) acted as 1 label; 3.0 raised TypeError
+        with pytest.raises(ValueError, match="expected an integer"):
+            enumerate_homs(genmatrix_x(), size)
+        assert enumerate_homs(genmatrix_x(), Fraction(3)) == enumerate_homs(genmatrix_x(), 3)
 
     def test_parallel_source_columns_collapse(self):
         # columns 0 and 1 span the same ray with different magnitudes, so
@@ -498,25 +506,55 @@ class TestCircuitTable:
         assert set(sizes) == {1, 2, 3, 4, 5}
         assert 120 <= with_lattice <= 200 and with_records >= 40
 
+    def test_one_run_matches_class_subset_loop(self):
+        # the single double description against the class-subset loop it
+        # replaced: sources with zero, parallel and antiparallel columns,
+        # planar sources in R^3 (column rank below the row count), and 10-16
+        # classes into 2 or 3 labels, where the target size drops circuits
+        rng = random.Random(20261019)
+        kinds, sizes = Counter(), Counter()
+        planar = many = dropped = 0
+        for i in range(360):
+            if i % 8 == 7:
+                gm, m = many_class_source(rng, rng.randint(10, 16)), rng.randint(2, 3)
+                many += 1
+            else:
+                flat = i % 8 in (3, 6)
+                gm, col_kinds = planar_source(rng) if flat else random_source_with_classes(rng)
+                planar += flat
+                kinds.update(col_kinds)
+                m = rng.randint(1, 5)
+            sizes[m] += 1
+            reps = direction_classes(gm)
+            table = homsearch._circuit_table(reps, gm.n, m)
+            assert len(set(table)) == len(table)
+            assert set(table) == set(reference_circuit_table(reps, gm.n, m)), (gm, m)
+            dropped += len(homsearch._circuit_table(reps, gm.n, len(reps))) > len(table)
+        assert all(kinds[k] for k in ("zero", "parallel", "antiparallel"))
+        assert set(sizes) == {1, 2, 3, 4, 5}
+        assert planar >= 80 and many >= 40 and dropped >= 40
+
     def test_double_description_runs_once_per_class_subset(self, monkeypatch):
-        # work-counter gate: 5 classes give at most 2^5 - 1 subsets, where a
-        # scan with one double description per assignment would make 6^5
+        # work-counter gate: one double description over X's 5 classes, for
+        # the enumeration and again for an expansion; the class-subset loop
+        # made up to 2^5 - 1 runs and a scan over assignments 6^5
         calls = count_calls(monkeypatch, "extreme_rays")
         enum = enumerate_homs(genmatrix_x(), 5)
-        assert len(calls) <= 31
+        assert len(calls) == 1
         assert (len(enum.families), len(enum.cone_records)) == (120, 1500)
+        enum.expand(1)
+        assert len(calls) == 2
 
     def test_many_classes_small_target(self, monkeypatch):
-        # 12 classes into 2 labels: only subsets of at most 2 classes can be
-        # placed, so the table never costs more than the (12 + 1)^2 runs of
-        # one double description per assignment
+        # 12 classes into 2 labels: one double description on all 12 classes
+        # (the class-subset loop made 12 + 66 runs on at most 2), and the
+        # target size keeps only the circuits on 2 classes
         dirs = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1), (1, -1),
                 (-1, 1), (2, 1), (1, 2), (-2, -1), (-1, -2)]
         gm = GenMatrix.from_matrix([[d[i] for d in dirs] for i in range(2)])
         calls = count_calls(monkeypatch, "extreme_rays")
         enum = enumerate_homs(gm, 2)
-        assert len(calls) == 12 + 66
-        assert max(n_vars for _, n_vars in calls) <= 2
+        assert [n_vars for _, n_vars in calls] == [12]
         assert_same_enumeration(enum, reference_enumerate_homs(gm, 2))
         assert len(enum.to_json_lines()) == 1 + 12  # zero plus six antipodal pairs, both orders
 
@@ -556,6 +594,18 @@ def planar_source(rng):
     cols = [tuple(c[0] * u[i] + (c[1] if len(c) > 1 else 0) * v[i]
                   for i in range(3)) for c in flat_cols]
     return GenMatrix.from_matrix([[c[i] for c in cols] for i in range(3)]), kinds
+
+
+def many_class_source(rng, k):
+    """A random source in R^2 or R^3 with k distinct primitive column
+    directions, so k direction classes and no zero or parallel column."""
+    n = rng.randint(2, 3)
+    dirs = []
+    while len(dirs) < k:
+        d = random_primitive_direction(rng, n, bound=3)
+        if d not in dirs:
+            dirs.append(d)
+    return GenMatrix.from_matrix([[d[i] for d in dirs] for i in range(n)])
 
 
 def box_size(enum, bound):
@@ -679,6 +729,16 @@ class TestKernelExpansion:
         solved = count_calls(monkeypatch, "bounded_points")
         assert enum.expand(3) == {enum.zero_matrix}
         assert solved == []
+
+    @pytest.mark.parametrize("bound", [True, 2.5, 2.0, "2"])
+    def test_non_integer_bound_rejected(self, bound):
+        # expand(True) acted as bound 1; a float or a string raised TypeError
+        enum = enumerate_homs(genmatrix_x(), 3)
+        with pytest.raises(ValueError, match="expected an integer"):
+            enum.expand(bound)
+        with pytest.raises(ValueError, match="expected an integer"):
+            enumerate_morphisms(FAN_Y, FAN_X).expand_T(bound)
+        assert enum.expand(Fraction(2)) == enum.expand(2)
 
     def test_negative_bound_rejected(self):
         enum = enumerate_homs(genmatrix_x(), 3)

@@ -179,6 +179,14 @@ def test_non_integer_input_rejected():
     assert L.member((Fraction(4, 2), -2)) == (1,)
 
 
+@pytest.mark.parametrize("ambient", [2.0, True, "2"])
+def test_non_integer_ambient_rejected(ambient):
+    for rows in ([(1, -1)], []):
+        with pytest.raises(ValueError, match="expected an integer"):
+            Lattice.from_rows(rows, ambient=ambient)
+    assert Lattice.from_rows([], ambient=Fraction(2)).ambient == 2
+
+
 def test_degenerate_lattice():
     L = Lattice.from_rows([(0, 0)], ambient=2)
     assert L.rank == 0

@@ -54,6 +54,15 @@ def test_non_integer_exponents_rejected(bad):
         TropPoly(2, [bad])
 
 
+@pytest.mark.parametrize("dim", [2.0, True, "2"])
+def test_non_integer_dimension_rejected(dim):
+    for make in (lambda: TropPoly(dim, [(0, 1)]), lambda: TropPoly.one(dim),
+                 lambda: TropPoly.zero(dim)):
+        with pytest.raises(ValueError, match="expected an integer"):
+            make()
+    assert TropPoly.one(Fraction(2)) == TropPoly(2, [(0, 0)])
+
+
 class TestEval:
     def test_two_dot_products(self):
         p = TropPoly(2, [(1, 0), (0, -1)])

@@ -4,8 +4,13 @@ The cone is pointed (it sits inside the nonnegative orthant), so its extreme
 rays are well defined and the classic incremental construction applies:
 start from the orthant's rays, intersect with one hyperplane at a time, and
 combine adjacent positive/negative ray pairs.  Adjacency uses the
-combinatorial zero-set test, which is exact for pointed cones.  All
-arithmetic is on Python ints; rays are returned as primitive integer
+combinatorial test, exact for pointed cones: two rays are adjacent when no
+third ray's support lies inside the union of theirs.  Supports are int
+bitmasks.  A combination's support is the union of its parents', so a
+downward-closed bound on supports prunes every pair whose union breaks it:
+a ray that blocks an admitted pair has its support inside that union, so it
+is admitted too and never pruned, and the admitted rays come out exactly.
+All arithmetic is on Python ints; rays are returned as primitive integer
 vectors, sorted lexicographically.
 
 The integer points of such a cone inside a box 0 <= t <= limits are found
@@ -17,45 +22,42 @@ from __future__ import annotations
 
 import itertools
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .fan import primitive
 from .maxplus import exact_int
 
 
-def extreme_rays(N: Sequence[Sequence[int]], n_vars: int) -> list[tuple[int, ...]]:
+def extreme_rays(N: Sequence[Sequence[int]], n_vars: int,
+                 admissible: Optional[Callable[[int], bool]] = None) -> list[tuple[int, ...]]:
     """Extreme rays of {t in R^n_vars : t >= 0, N t = 0}.
 
     Returns primitive integer representatives, lex-sorted; the empty list
-    means the cone is the origin alone.
+    means the cone is the origin alone.  With admissible, a downward-closed
+    predicate on supports held as bitmasks (bit j set when t_j > 0), only
+    the rays whose support it admits are returned.
     """
     n_vars = exact_int(n_vars)
     N = [[exact_int(e) for e in w] for w in N]
     if any(len(w) != n_vars for w in N):
         raise ValueError("constraint length disagrees with variable count")
-    rays = [tuple(int(i == j) for j in range(n_vars)) for i in range(n_vars)]
+    rays = {tuple(int(i == j) for j in range(n_vars)): 1 << i for i in range(n_vars)
+            if admissible is None or admissible(1 << i)}  # ray -> support bitmask
     for w in N:
         vals = {r: sum(a * b for a, b in zip(w, r)) for r in rays}
-        zero = [r for r in rays if vals[r] == 0]
-        pos = [r for r in rays if vals[r] > 0]
-        neg = [r for r in rays if vals[r] < 0]
-        if not pos or not neg:
-            rays = zero
-            continue
-        zsets = {r: frozenset(j for j, e in enumerate(r) if e == 0) for r in rays}
-        new = list(zero)
-        seen = set(zero)
-        for rp in pos:
-            for rn in neg:
-                common = zsets[rp] & zsets[rn]
-                if any(zsets[r] >= common for r in rays if r != rp and r != rn):
+        new = {r: s for r, s in rays.items() if vals[r] == 0}
+        pos = [(r, s) for r, s in rays.items() if vals[r] > 0]
+        neg = [(r, s) for r, s in rays.items() if vals[r] < 0]
+        for rp, sp in pos:
+            for rn, sn in neg:
+                union = sp | sn  # the support of every combination of rp and rn
+                if admissible is not None and not admissible(union):
                     continue
-                # nonzero: the combination is positive where rp or rn is
-                comb = primitive(tuple(vals[rp] * b - vals[rn] * a
-                                        for a, b in zip(rp, rn)))
-                if comb not in seen:
-                    seen.add(comb)
-                    new.append(comb)
+                # adjacent unless another ray's support lies inside the union
+                if any(s | union == union and s != sp and s != sn for s in rays.values()):
+                    continue
+                comb = primitive(tuple(vals[rp] * b - vals[rn] * a for a, b in zip(rp, rn)))
+                new[comb] = union
         rays = new
     return sorted(rays)
 

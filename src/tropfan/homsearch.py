@@ -11,15 +11,18 @@ rows.  Each column-assignment pattern's scaling cone {t >= 0 : N t = 0} has
 its positive circuits as extreme rays; a positive circuit never uses two
 parallel columns, so every pattern's rays are placements of the circuits of
 the direction classes.  Those are the extreme rays of one cone, over all
-classes at once, so one double description per enumeration finds them.  A
-placement alone spans a one-dimensional cone, packaged as a one-parameter
-family: a primitive base matrix together with the scalar modulus forced by
-the target lattice.  Patterns admitting two or more placements span cones of
-dimension two or more; they are reported verbatim as cone records and flag
-the result inexhaustive.  No step iterates all (classes + 1)^m patterns:
-records are built only for the class multisets that admit two or more
-placements, and the members within an entry bound are built once each from
-the bounded kernel points of the class multisets the circuits cover.
+classes at once, so one double description per enumeration finds them; it
+never combines two rays whose joint support has more classes than the
+target has labels.  A placement alone spans a one-dimensional cone,
+packaged as a one-parameter family: a primitive base matrix together with
+the scalar modulus forced by the target lattice.  Patterns admitting two or
+more placements span cones of dimension two or more; they are reported
+verbatim as cone records and flag the result inexhaustive.  No step
+iterates all (classes + 1)^m patterns: records are built only for the class
+multisets that admit two or more placements, and the members within an
+entry bound are built once each from the bounded kernel points of the class
+multisets the circuits cover.  A multiset is laid over the slots from a
+table of every layout of its count shape, built once per shape and call.
 """
 
 from __future__ import annotations
@@ -27,11 +30,11 @@ from __future__ import annotations
 import itertools
 import json
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
-from typing import Iterable, Iterator, Optional, Sequence
+from operator import itemgetter
+from typing import Iterable, Optional, Sequence
 
 from .cones import bounded_points, extreme_rays
 from .fan import Fan1D, GenMatrix, check_balancing, direction_classes, weighted_eval_map
@@ -139,11 +142,11 @@ def _circuit_table(reps: list[tuple[int, tuple[int, ...]]], n: int,
                    target_size: int) -> list[Circuit]:
     """Every placeable positive circuit of the class directions: the extreme
     rays of {t >= 0 : sum_a t_a d_a = 0}, which are its minimal-support
-    points, from one double description over all classes, kept when they use
-    at most target_size classes (placements are injective)."""
+    points, from one double description over all classes that admits only
+    supports of at most target_size classes (placements are injective)."""
     N = [[d[i] for _, d in reps] for i in range(n)]
-    on = ([(a, t) for (a, _), t in zip(reps, ray) if t] for ray in extreme_rays(N, len(reps)))
-    return [tuple(zip(*pairs)) for pairs in on if len(pairs) <= target_size]
+    rays = extreme_rays(N, len(reps), admissible=lambda s: s.bit_count() <= target_size)
+    return [tuple(zip(*((a, t) for (a, _), t in zip(reps, ray) if t))) for ray in rays]
 
 
 def _matrix_from_ray(sigma: Assignment, ray: Sequence[int],
@@ -154,26 +157,27 @@ def _matrix_from_ray(sigma: Assignment, ray: Sequence[int],
                        for b, a in enumerate(sigma)) for i in range(n))
 
 
-def _spread(labels_at: Iterable[tuple[int, int]], m: int) -> Assignment:
-    """The assignment of m slots with the given (slot, label) pairs; the
-    other slots are unassigned."""
-    at = dict(labels_at)
-    return tuple(at.get(b) for b in range(m))
+def _layouts(shape: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+    """Every way to lay values with the given counts over m = sum(shape)
+    slots, as (value index of each slot, ascending slots of each value)."""
+    m = sum(shape)
+    ways: list = [((), range(m))]  # (slots of the values laid so far, free slots)
+    for k in shape:
+        ways = [(w + (c,), [b for b in free if b not in c])
+                for w, free in ways for c in itertools.combinations(free, k)]
+    out = []
+    for w, _ in ways:
+        key = [0] * m
+        for i, bs in enumerate(w):
+            for b in bs:
+                key[b] = i
+        out.append((tuple(key), w))
+    return out
 
 
-def _arrangements(counts: Sequence[tuple[int, int]],
-                  free: Sequence[int]) -> Iterator[dict[int, tuple[int, ...]]]:
-    """Every way to give each label its count of the free slots, disjointly,
-    as label -> slots."""
-    if not counts:
-        yield {}
-        return
-    (a, k), rest = counts[0], counts[1:]
-    for chosen in itertools.combinations(free, k):
-        left = [b for b in free if b not in chosen]
-        for slots in _arrangements(rest, left):
-            slots[a] = chosen
-            yield slots
+def _groups(multiset: Sequence) -> tuple[tuple, tuple[int, ...]]:
+    """The distinct values of a grouped multiset and the count of each."""
+    return tuple(zip(*((a, len(list(g))) for a, g in itertools.groupby(multiset))))
 
 
 @dataclass(frozen=True)
@@ -207,7 +211,7 @@ class HomEnumeration:
         per multiset of at most m classes covered by the circuits inside it
         (a class in no such circuit is zero in every nonnegative kernel
         vector), the positive points of one cones.bounded_points call are
-        placed at every arrangement of the multiset over the slots.
+        placed at every layout of the multiset over the slots.
         MorphismEnumeration.expand_T and the CLI's --expand build on it."""
         entry_bound = exact_int(entry_bound)
         if entry_bound < 0:
@@ -218,24 +222,28 @@ class HomEnumeration:
         supports = [set(labels) for labels, _ in _circuit_table(reps, n, m)]
         live = sorted(set().union(*supports))
         out = {self.zero_matrix}
-        for size in range(1, m + 1):
-            for multiset in itertools.combinations_with_replacement(live, size):
-                classes = set(multiset)
-                if classes != set().union(*(s for s in supports if s <= classes)):
-                    continue
-                dirs = [class_dirs[a] for a in multiset]
-                N = [[d[i] for d in dirs] for i in range(n)]
-                limits = [entry_bound // max(map(abs, d)) for d in dirs]
-                points = [k for k in bounded_points(N, limits) if all(k)]
-                counts = sorted(Counter(multiset).items())
-                for slots in _arrangements(counts, range(m)) if points else ():
-                    at = [b for a, _ in counts for b in slots[a]]  # slot of each position
-                    sigma = _spread(zip(at, multiset), m)
-                    for k in points:
-                        ray = [t for _, t in sorted(zip(at, k))]
-                        M = _matrix_from_ray(sigma, ray, class_dirs, n)
-                        if L is None or all(row in L for row in M):
-                            out.add(M)
+        tables: dict[tuple[int, ...], list] = {}
+        for multiset in itertools.combinations_with_replacement([None] + live, m):
+            classes = set(multiset) - {None}
+            if not classes or classes != set().union(*(s for s in supports if s <= classes)):
+                continue
+            dirs = [class_dirs[a] for a in multiset if a is not None]
+            N = [[d[i] for d in dirs] for i in range(n)]
+            limits = [entry_bound // max(map(abs, d)) for d in dirs]
+            points = [k for k in bounded_points(N, limits) if all(k)]
+            if not points:
+                continue
+            vals, shape = _groups(multiset)
+            if shape not in tables:
+                tables[shape] = _layouts(shape)
+            for key, slots in tables[shape]:
+                sigma = tuple(vals[i] for i in key)
+                at = [b for a, bs in zip(vals, slots) if a is not None for b in bs]
+                for k in points:
+                    ray = [t for _, t in sorted(zip(at, k))]
+                    M = _matrix_from_ray(sigma, ray, class_dirs, n)
+                    if L is None or all(row in L for row in M):
+                        out.add(M)
         return out
 
     def to_json_lines(self) -> list[str]:
@@ -271,8 +279,9 @@ def enumerate_homs(source: GenMatrix, target_size: int,
     assignment's scaling cone is spanned by the placements it admits, and
     their number depends only on how many labels the assignment gives each
     class, so cone records are built only for the class multisets that admit
-    two or more placements, from the placement matrices already computed.
-    The output is deterministically sorted.
+    two or more placements, from the placement matrices already computed, at
+    every layout of the multiset over the target labels.  The output is
+    deterministically sorted.
     """
     target_size = exact_int(target_size)
     if target_size < 1:
@@ -289,7 +298,8 @@ def enumerate_homs(source: GenMatrix, target_size: int,
     for labels, coeffs in circuits:
         placed.append({})
         for positions in itertools.permutations(range(target_size), len(labels)):
-            sigma = _spread(zip(positions, labels), target_size)
+            at = dict(zip(positions, labels))
+            sigma = tuple(map(at.get, range(target_size)))
             ray = [t for _, t in sorted(zip(positions, coeffs))]
             M0 = placed[-1][positions] = _matrix_from_ray(sigma, ray, class_dirs, n)
             assert _matrix_gcd(M0) == 1  # primitive ray => primitive matrix
@@ -302,26 +312,33 @@ def enumerate_homs(source: GenMatrix, target_size: int,
                     continue
             families.append(HomFamily(sigma, M0, modulus))
 
-    records: list[ConeRecord] = []
-    options = [a for a, _ in reps]
+    keyed: list[tuple[tuple[int, ...], ConeRecord]] = []
+    tables: dict[tuple[int, ...], list] = {}
     # without a circuit nothing is placed, so no multiset needs a visit
-    multisets = (itertools.combinations_with_replacement([None] + options, target_size)
-                 if circuits else ())
+    options = [None] + [a for a, _ in reps]
+    multisets = itertools.combinations_with_replacement(options, target_size) if circuits else ()
     for multiset in multisets:
-        count = Counter(multiset)
-        live = [(placed[c], labels) for c, (labels, _) in enumerate(circuits)
-                if all(count[a] for a in labels)]
-        if sum(prod(count[a] for a in labels) for _, labels in live) < 2:
+        vals, shape = _groups(multiset)
+        index = {a: i for i, a in enumerate(vals)}
+        live = {c: [index[a] for a in labels] for c, (labels, _) in enumerate(circuits)
+                if all(a in index for a in labels)}  # circuit -> value index of each class
+        if sum(prod(shape[i] for i in idx) for idx in live.values()) < 2:
             continue
-        for slots in _arrangements([(a, count[a]) for a in options if count[a]],
-                                   range(target_size)):
-            sigma = _spread(((b, a) for a, bs in slots.items() for b in bs), target_size)
-            bases = sorted(mats[choice] for mats, labels in live
-                           for choice in itertools.product(*(slots[a] for a in labels)))
-            records.append(ConeRecord(sigma, tuple(bases)))
+        if shape not in tables:
+            tables[shape] = _layouts(shape)
+        # a circuit has two or more classes, so each getter returns a tuple
+        getters = [(placed[c].__getitem__, itemgetter(*idx)) for c, idx in live.items()]
+        sort_vals = [-1 if a is None else a for a in vals]
+        for key, slots in tables[shape]:
+            bases = []
+            for mat_at, slots_of in getters:
+                bases.extend(map(mat_at, itertools.product(*slots_of(slots))))
+            bases.sort()
+            keyed.append((tuple(map(sort_vals.__getitem__, key)),
+                          ConeRecord(tuple(map(vals.__getitem__, key)), tuple(bases))))
 
     fams = tuple(sorted(families, key=HomFamily.sort_key))
-    recs = tuple(sorted(records, key=ConeRecord.sort_key))
+    recs = tuple(rec for _, rec in sorted(keyed, key=itemgetter(0)))
     return HomEnumeration(n, target_size, source, target_lattice, fams, recs)
 
 

@@ -171,6 +171,119 @@ def reference_circuit_table(reps, n: int, target_size: int):
     return table
 
 
+def reference_extreme_rays(N, n_vars: int, admissible=None):
+    """extreme_rays with a support predicate, as the unpruned double
+    description with zero sets held as frozensets, followed by a filter
+    keeping the rays whose support bitmask (bit j set when t_j > 0) the
+    predicate admits.
+
+    The algorithm that cones.extreme_rays replaced with bitmask supports
+    and pruning by the predicate during the run; kept as the differential
+    oracle for the pruned rays."""
+    from tropfan import primitive
+    from tropfan.maxplus import exact_int
+
+    n_vars = exact_int(n_vars)
+    N = [[exact_int(e) for e in w] for w in N]
+    if any(len(w) != n_vars for w in N):
+        raise ValueError("constraint length disagrees with variable count")
+    rays = [tuple(int(i == j) for j in range(n_vars)) for i in range(n_vars)]
+    for w in N:
+        vals = {r: sum(a * b for a, b in zip(w, r)) for r in rays}
+        zero = [r for r in rays if vals[r] == 0]
+        pos = [r for r in rays if vals[r] > 0]
+        neg = [r for r in rays if vals[r] < 0]
+        if not pos or not neg:
+            rays = zero
+            continue
+        zsets = {r: frozenset(j for j, e in enumerate(r) if e == 0) for r in rays}
+        new = list(zero)
+        seen = set(zero)
+        for rp in pos:
+            for rn in neg:
+                common = zsets[rp] & zsets[rn]
+                if any(zsets[r] >= common for r in rays if r != rp and r != rn):
+                    continue
+                # nonzero: the combination is positive where rp or rn is
+                comb = primitive(tuple(vals[rp] * b - vals[rn] * a
+                                        for a, b in zip(rp, rn)))
+                if comb not in seen:
+                    seen.add(comb)
+                    new.append(comb)
+        rays = new
+    if admissible is not None:
+        rays = [r for r in rays if admissible(sum(1 << j for j, e in enumerate(r) if e))]
+    return sorted(rays)
+
+
+def _spread(labels_at, m: int):
+    """The assignment of m slots with the given (slot, label) pairs; the
+    other slots are unassigned."""
+    at = dict(labels_at)
+    return tuple(at.get(b) for b in range(m))
+
+
+def _arrangements(counts, free):
+    """Every way to give each label its count of the free slots, disjointly,
+    as label -> slots."""
+    import itertools
+
+    if not counts:
+        yield {}
+        return
+    (a, k), rest = counts[0], counts[1:]
+    for chosen in itertools.combinations(free, k):
+        left = [b for b in free if b not in chosen]
+        for slots in _arrangements(rest, left):
+            slots[a] = chosen
+            yield slots
+
+
+def reference_cone_records(source: GenMatrix, target_size: int):
+    """enumerate_homs's cone records by the walk that the per-shape layout
+    tables replaced: for each class multiset admitting two or more circuit
+    placements, a recursive arrangement of its classes over the slots, with
+    the circuits live in the multiset placed at every choice of their
+    classes' slots.  Records do not depend on the target lattice; kept as
+    the differential oracle for the records."""
+    import itertools
+    from collections import Counter
+    from math import prod
+    from tropfan import homsearch
+    from tropfan.fan import direction_classes
+
+    n = source.n
+    reps = direction_classes(source)
+    class_dirs = dict(reps)
+    circuits = homsearch._circuit_table(reps, n, target_size)
+    placed = []
+    for labels, coeffs in circuits:
+        placed.append({})
+        for positions in itertools.permutations(range(target_size), len(labels)):
+            sigma = _spread(zip(positions, labels), target_size)
+            ray = [t for _, t in sorted(zip(positions, coeffs))]
+            placed[-1][positions] = homsearch._matrix_from_ray(sigma, ray, class_dirs, n)
+
+    records = []
+    options = [a for a, _ in reps]
+    # without a circuit nothing is placed, so no multiset needs a visit
+    multisets = (itertools.combinations_with_replacement([None] + options, target_size)
+                 if circuits else ())
+    for multiset in multisets:
+        count = Counter(multiset)
+        live = [(placed[c], labels) for c, (labels, _) in enumerate(circuits)
+                if all(count[a] for a in labels)]
+        if sum(prod(count[a] for a in labels) for _, labels in live) < 2:
+            continue
+        for slots in _arrangements([(a, count[a]) for a in options if count[a]],
+                                   range(target_size)):
+            sigma = _spread(((b, a) for a, bs in slots.items() for b in bs), target_size)
+            bases = sorted(mats[choice] for mats, labels in live
+                           for choice in itertools.product(*(slots[a] for a in labels)))
+            records.append(homsearch.ConeRecord(sigma, tuple(bases)))
+    return tuple(sorted(records, key=homsearch.ConeRecord.sort_key))
+
+
 def reference_enumerate_homs(source: GenMatrix, target_size: int, lattice=None):
     """enumerate_homs by scanning every one of the (classes + 1)^m column
     assignments: each assignment's rays come from reference_assignment_rays;

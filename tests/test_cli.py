@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from helpers import MG_ROWS, box_hom_oracle, genmatrix_x, lattice_y
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 X_FAN = {
     "ambient_dim": 3,
@@ -40,8 +42,11 @@ Y_FAN = {
 
 
 def run(*args):
+    # the subprocess imports tropfan from this checkout, with or without a
+    # PYTHONPATH in the caller's environment
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "tropfan.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     return proc.returncode, proc.stdout, proc.stderr
 
 

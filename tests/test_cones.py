@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from tropfan import extreme_rays
+from tropfan import cones, extreme_rays
 from tropfan.cones import bounded_points
+
+from helpers import random_primitive_direction, reference_extreme_rays
 
 
 def cone_contains(N, t):
@@ -94,6 +96,52 @@ def test_against_brute_force():
         small = {r for r in got if max(r) <= 4}
         if small == got:  # oracle box saw everything
             assert got == brute_force_rays(N, n_vars)
+
+
+def test_support_predicate_matches_post_filter():
+    # pruning pairs by a downward-closed support predicate keeps exactly the
+    # admitted rays of the unpruned run: bounds on the support size, and "at
+    # most one variable per group" for random partitions of the variables
+    rng = random.Random(20261020)
+    sized = grouped = pruned = 0
+    for i in range(320):
+        n_vars = rng.randint(1, 9)
+        N = [[rng.randint(-2, 2) for _ in range(n_vars)] for _ in range(rng.randint(1, 3))]
+        if i % 2:
+            k = rng.randint(0, n_vars)
+            admissible = lambda s, k=k: s.bit_count() <= k
+            sized += 1
+        else:
+            groups = [0] * rng.randint(1, n_vars)
+            for j in range(n_vars):
+                groups[rng.randrange(len(groups))] |= 1 << j
+            admissible = lambda s, groups=groups: all((s & g).bit_count() <= 1 for g in groups)
+            grouped += 1
+        everything = extreme_rays(N, n_vars)
+        assert everything == reference_extreme_rays(N, n_vars)
+        got = extreme_rays(N, n_vars, admissible)
+        assert got == reference_extreme_rays(N, n_vars, admissible), (N, i)
+        pruned += len(got) < len(everything)
+    assert sized >= 150 and grouped >= 150 and pruned >= 100
+
+
+def test_support_bound_prunes_combinations(monkeypatch):
+    # work-counter gate: 24 seeded classes in R^3 with circuits on at most 3
+    # of them build 351 combinations; without the bound the run builds
+    # 1,213 and keeps 895 rays
+    rng = random.Random(2024)
+    dirs = []
+    while len(dirs) < 24:
+        d = random_primitive_direction(rng, 3, bound=2)
+        if d not in dirs:
+            dirs.append(d)
+    N = [[d[i] for d in dirs] for i in range(3)]
+    built = []
+    real = cones.primitive
+    monkeypatch.setattr(cones, "primitive", lambda v: built.append(v) or real(v))
+    rays = extreme_rays(N, 24, lambda s: s.bit_count() <= 3)
+    assert len(rays) == 33 and len(built) <= 351
+    assert rays == reference_extreme_rays(N, 24, lambda s: s.bit_count() <= 3)
 
 
 def test_bounded_points_against_box_scan():

@@ -17,7 +17,7 @@ from tropfan.fan import direction_classes
 from helpers import (B1, B2, FAN_X, FAN_Y, box_hom_oracle, column_permutations,
                      genmatrix_x, genmatrix_y, lattice_y, random_degree_zero_row,
                      random_primitive_direction, random_source_with_classes,
-                     reference_circuit_table, reference_enumerate_homs,
+                     reference_circuit_table, reference_cone_records, reference_enumerate_homs,
                      reference_expand, reference_expand_cones, scale_matrix)
 
 
@@ -27,13 +27,13 @@ def vecs(matrix):
 
 def count_calls(monkeypatch, name):
     """Replace homsearch.<name> by a wrapper that records each call's
-    arguments in the returned list."""
+    positional arguments in the returned list."""
     calls = []
     real = getattr(homsearch, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(homsearch, name, counted)
     return calls
@@ -579,6 +579,74 @@ class TestCircuitTable:
         enum = enumerate_homs(GenMatrix.from_matrix([[1], [2]]), 40)
         assert (enum.families, enum.cone_records) == ((), ())
         assert enum.to_json_lines() == ['{"kind": "zero"}']
+
+
+class TestLayoutTables:
+    @pytest.mark.parametrize("shape", [(1,), (3,), (1, 1), (2, 1), (1, 2, 1), (2, 2, 1),
+                                       (1, 1, 1, 1, 1)])
+    def test_layouts_are_the_distinct_arrangements(self, shape):
+        layouts = homsearch._layouts(shape)
+        keys = [key for key, _ in layouts]
+        values = [i for i, k in enumerate(shape) for _ in range(k)]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == set(itertools.permutations(values))
+        for key, slots in layouts:
+            assert slots == tuple(tuple(b for b, i in enumerate(key) if i == v)
+                                  for v in range(len(shape)))
+
+    def test_records_match_arrangement_walk(self):
+        # the layout tables against the recursive arrangement walk they
+        # replaced, with a target lattice on about a third of the draws
+        # (records do not depend on it), and X -> full:6
+        rng = random.Random(20261020)
+        kinds, sizes = Counter(), Counter()
+        planar = many = with_lattice = with_records = 0
+        for i in range(330):
+            if i % 3 == 2:
+                gm, m = many_class_source(rng, rng.randint(4, 7)), rng.randint(3, 5)
+                many += 1
+            else:
+                gm, col_kinds = planar_source(rng) if i % 3 else random_source_with_classes(rng)
+                planar += i % 3 == 1
+                kinds.update(col_kinds)
+                m = rng.randint(1, 6)
+            sizes[m] += 1
+            lattice = None
+            if rng.random() < 1 / 3:
+                gens = [random_degree_zero_row(rng, m) for _ in range(rng.randint(1, 2))]
+                lattice = Lattice.from_rows(gens)
+                with_lattice += 1
+            records = enumerate_homs(gm, m, lattice).cone_records
+            assert records == reference_cone_records(gm, m), (gm, m, lattice)
+            with_records += bool(records)
+        assert all(kinds[k] for k in ("zero", "parallel", "antiparallel"))
+        assert set(sizes) == {1, 2, 3, 4, 5, 6}
+        assert planar >= 100 and many >= 100 and 80 <= with_lattice <= 140
+        assert with_records >= 100
+        records = enumerate_homs(genmatrix_x(), 6).cone_records
+        assert len(records) == 16560
+        assert records == reference_cone_records(genmatrix_x(), 6)
+
+    def test_layout_table_once_per_count_shape(self, monkeypatch):
+        # work-counter gate: X -> full:6 lays its 16,560 records from 26
+        # layout tables, one per count shape, where the arrangement walk
+        # entered 33,177 recursive frames; a repeated query builds fresh
+        # tables (nothing outlives a call), and so does each expansion
+        real = homsearch._layouts
+        built = []  # (shape, table) per build
+        monkeypatch.setattr(homsearch, "_layouts",
+                            lambda shape: built.append((shape, real(shape))) or built[-1][1])
+        runs = []
+        for _ in range(2):
+            enum = enumerate_homs(genmatrix_x(), 6)
+            assert len(enum.cone_records) == 16560
+            runs.append(dict(built))
+            assert len(runs[-1]) == len(built) <= 26
+            built.clear()
+        assert runs[0].keys() == runs[1].keys()
+        assert all(runs[0][shape] is not runs[1][shape] for shape in runs[0])
+        enum.expand(2)
+        assert built and len(dict(built)) == len(built)
 
 
 def planar_source(rng):

@@ -79,7 +79,7 @@ def _eval_map(fan: Fan1D, path: str) -> GenMatrix:
 
 def cmd_evalmap(args) -> int:
     gm = _eval_map(_load_fan(args.fan), args.fan)
-    print(json.dumps([list(r.entries) for r in gm.rows]))
+    print(json.dumps(gm.matrix()))
     return EXIT_OK
 
 
@@ -93,7 +93,7 @@ def _print_enumeration(enum, matrices: set | None) -> int:
     print(json.dumps({"kind": "zero"}))
     for M in sorted(matrices):
         if any(any(row) for row in M):
-            print(json.dumps({"kind": "matrix", "matrix": [list(r) for r in M]}))
+            print(json.dumps({"kind": "matrix", "matrix": M}))
     return EXIT_OK
 
 
@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("polyeq", help="decide equality of two polynomial functions")
     p.add_argument("--on-fan", metavar="FAN", help="compare on a fan's support")
-    p.add_argument("--on-space", type=int, metavar="N", help="compare on all of R^N")
+    p.add_argument("--on-space", type=_bound, metavar="N", help="compare on all of R^N")
     p.add_argument("f")
     p.add_argument("g")
     p.set_defaults(func=cmd_polyeq)

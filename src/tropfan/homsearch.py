@@ -11,13 +11,14 @@ rows.  Each column-assignment pattern's scaling cone {t >= 0 : N t = 0} has
 its positive circuits as extreme rays; a positive circuit never uses two
 parallel columns, so every pattern's rays are placements of the circuits of
 the direction classes.  Those are the extreme rays of one cone, over all
-classes at once, so one double description per enumeration finds them; it
-never combines two rays whose joint support has more classes than the
-target has labels.  A placement alone spans a one-dimensional cone,
-packaged as a one-parameter family: a primitive base matrix together with
-the scalar modulus forced by the target lattice.  Patterns admitting two or
-more placements span cones of dimension two or more; they are reported
-verbatim as cone records and flag the result inexhaustive.  No step
+classes at once, so one double description per enumeration finds them,
+and its expansions reuse them; it never combines two rays whose joint
+support has more classes than the target has labels.  A placement alone
+spans a one-dimensional cone, packaged as a one-parameter family: a
+primitive base matrix together with the scalar modulus forced by the
+target lattice.  Patterns admitting two or more placements span cones of
+dimension two or more; they are reported verbatim as cone records and
+flag the result inexhaustive.  No step
 iterates all (classes + 1)^m patterns: records are built only for the class
 multisets that admit two or more placements, and the members within an
 entry bound are built once each from the bounded kernel points of the class
@@ -37,7 +38,8 @@ from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .cones import bounded_points, extreme_rays
-from .fan import Fan1D, GenMatrix, check_balancing, direction_classes, weighted_eval_map
+from .fan import (Fan1D, GenMatrix, check_balancing, direction_classes, primitive,
+                  weighted_eval_map)
 from .lattice import Lattice, LatticeSpanError, scalar_modulus, solve_int
 from .maxplus import TropVector, exact_int
 from .tropoly import TropPoly, substitute_units
@@ -64,38 +66,25 @@ def geometric_check(images: Sequence[TropVector],
     """Per-target-label witnesses (source label, scale) for the image columns.
 
     Column b of the stacked images must equal t * (column a of the source)
-    for some label a and rational t >= 0.  Zero columns are reported as
-    (None, 0); otherwise the lowest matching label is chosen.  Returns None
+    for some label a and rational t > 0, that is, share the primitive
+    direction of a's class in direction_classes.  Zero columns are reported
+    as (None, 0); otherwise the class's lowest label is chosen.  Returns None
     when some column matches nothing.
     """
     rows = list(images)
     if len(rows) != source.n:
         raise ValueError(f"expected {source.n} image rows, got {len(rows)}")
-    size = rows[0].size
-    for img in rows:
-        if img.is_bottom:
-            raise ValueError("image rows must be finite vectors")
-        if img.size != size:
-            raise ValueError("image rows live over different label sets")
-    src_cols = source.columns()
+    lowest = {d: a for a, d in direction_classes(source)}
     witnesses = []
-    for b in range(size):
-        col = tuple(img[b] for img in rows)
+    for col in GenMatrix(rows).columns():
         if not any(col):
             witnesses.append((None, Fraction(0)))
             continue
-        found = None
-        for a, sc in enumerate(src_cols):
-            i = next((i for i, e in enumerate(sc) if e), None)
-            if i is None:
-                continue
-            t = Fraction(col[i], sc[i])
-            if t > 0 and all(col[j] == t * sc[j] for j in range(len(col))):
-                found = (a, t)
-                break
-        if found is None:
+        a = lowest.get(primitive(col))
+        if a is None:
             return None
-        witnesses.append(found)
+        i = next(i for i, e in enumerate(col) if e)
+        witnesses.append((a, Fraction(col[i], source.rows[i][a])))
     return witnesses
 
 
@@ -139,14 +128,14 @@ def _assignment_key(assignment: Assignment) -> tuple[int, ...]:
 
 
 def _circuit_table(reps: list[tuple[int, tuple[int, ...]]], n: int,
-                   target_size: int) -> list[Circuit]:
+                   target_size: int) -> tuple[Circuit, ...]:
     """Every placeable positive circuit of the class directions: the extreme
     rays of {t >= 0 : sum_a t_a d_a = 0}, which are its minimal-support
     points, from one double description over all classes that admits only
     supports of at most target_size classes (placements are injective)."""
     N = [[d[i] for _, d in reps] for i in range(n)]
     rays = extreme_rays(N, len(reps), admissible=lambda s: s.bit_count() <= target_size)
-    return [tuple(zip(*((a, t) for (a, _), t in zip(reps, ray) if t))) for ray in rays]
+    return tuple(tuple(zip(*((a, t) for (a, _), t in zip(reps, ray) if t))) for ray in rays)
 
 
 def _matrix_from_ray(sigma: Assignment, ray: Sequence[int],
@@ -184,7 +173,10 @@ def _groups(multiset: Sequence) -> tuple[tuple, tuple[int, ...]]:
 class HomEnumeration:
     """Complete answer set: the zero matrix, the single-parameter families,
     and cone records for multi-parameter assignments (if any, the result is
-    inexhaustive); expand lists the exact members within an entry bound."""
+    inexhaustive); expand lists the exact members within an entry bound.
+    circuits holds the source's placeable positive circuits as (class
+    labels, coefficients), computed once by enumerate_homs and read by
+    expand."""
 
     n: int
     target_size: int
@@ -192,6 +184,7 @@ class HomEnumeration:
     target_lattice: Optional[Lattice]
     families: tuple[HomFamily, ...]
     cone_records: tuple[ConeRecord, ...]
+    circuits: tuple[Circuit, ...]
 
     @property
     def inexhaustive(self) -> bool:
@@ -211,15 +204,15 @@ class HomEnumeration:
         per multiset of at most m classes covered by the circuits inside it
         (a class in no such circuit is zero in every nonnegative kernel
         vector), the positive points of one cones.bounded_points call are
-        placed at every layout of the multiset over the slots.
+        placed at every layout of the multiset over the slots.  The circuits
+        are the enumeration's own, so expanding runs no double description.
         MorphismEnumeration.expand_T and the CLI's --expand build on it."""
         entry_bound = exact_int(entry_bound)
         if entry_bound < 0:
             raise ValueError("entry bound must be nonnegative")
         n, m, L = self.n, self.target_size, self.target_lattice
-        reps = direction_classes(self.source)
-        class_dirs = dict(reps)
-        supports = [set(labels) for labels, _ in _circuit_table(reps, n, m)]
+        class_dirs = dict(direction_classes(self.source))
+        supports = [set(labels) for labels, _ in self.circuits]
         live = sorted(set().union(*supports))
         out = {self.zero_matrix}
         tables: dict[tuple[int, ...], list] = {}
@@ -249,7 +242,7 @@ class HomEnumeration:
     def to_json_lines(self) -> list[str]:
         return _json_lines(({"kind": "family",
                              "assignment": _assignment_json(fam.assignment),
-                             "base": [list(r) for r in fam.base],
+                             "base": fam.base,
                              "modulus": fam.modulus} for fam in self.families),
                            self.cone_records)
 
@@ -263,7 +256,7 @@ def _json_lines(families: Iterable[dict], records: Iterable[ConeRecord]) -> list
     return [json.dumps({"kind": "zero"}),
             *map(json.dumps, families),
             *(json.dumps({"kind": "cone",
-                          "rays": [[list(r) for r in M] for M in rec.ray_bases],
+                          "rays": rec.ray_bases,
                           "flag": "inexhaustive"}) for rec in records)]
 
 
@@ -273,9 +266,10 @@ def enumerate_homs(source: GenMatrix, target_size: int,
     source rows, into the full target of the given label count or into the
     subsemiring cut out by the target lattice.
 
-    The positive circuits of the direction classes are computed once.  Each
-    injective placement of a circuit into the target labels is one family
-    (dropped when no multiple of it meets the target lattice).  An
+    The positive circuits of the direction classes are computed once and
+    kept on the result as circuits, which expand reads.  Each injective
+    placement of a circuit into the target labels is one family (dropped
+    when no multiple of it meets the target lattice).  An
     assignment's scaling cone is spanned by the placements it admits, and
     their number depends only on how many labels the assignment gives each
     class, so cone records are built only for the class multisets that admit
@@ -339,7 +333,7 @@ def enumerate_homs(source: GenMatrix, target_size: int,
 
     fams = tuple(sorted(families, key=HomFamily.sort_key))
     recs = tuple(rec for _, rec in sorted(keyed, key=itemgetter(0)))
-    return HomEnumeration(n, target_size, source, target_lattice, fams, recs)
+    return HomEnumeration(n, target_size, source, target_lattice, fams, recs, circuits)
 
 
 class Hom:
@@ -457,7 +451,7 @@ class MorphismEnumeration:
     def to_json_lines(self) -> list[str]:
         return _json_lines(({"kind": "family",
                              "assignment": _assignment_json(fam.assignment),
-                             "base_T": [list(r) for r in fam.base_T]}
+                             "base_T": fam.base_T}
                             for fam in self.families),
                            self.cone_records)
 

@@ -136,6 +136,48 @@ def random_source_with_classes(rng, max_rows=3, max_labels=6):
     return GenMatrix.from_matrix([[c[i] for c in cols] for i in range(n)]), kinds
 
 
+def reference_geometric_check(images, source: GenMatrix):
+    """Per-target-label witnesses (source label, scale) for the image columns.
+
+    Column b of the stacked images must equal t * (column a of the source)
+    for some label a and rational t >= 0.  Zero columns are reported as
+    (None, 0); otherwise the lowest matching label is chosen.  Returns None
+    when some column matches nothing.
+
+    The scan over every source column that homsearch.geometric_check
+    replaced with one lookup by primitive direction in direction_classes;
+    kept as the differential oracle for the witnesses."""
+    rows = list(images)
+    if len(rows) != source.n:
+        raise ValueError(f"expected {source.n} image rows, got {len(rows)}")
+    size = rows[0].size
+    for img in rows:
+        if img.is_bottom:
+            raise ValueError("image rows must be finite vectors")
+        if img.size != size:
+            raise ValueError("image rows live over different label sets")
+    src_cols = source.columns()
+    witnesses = []
+    for b in range(size):
+        col = tuple(img[b] for img in rows)
+        if not any(col):
+            witnesses.append((None, Fraction(0)))
+            continue
+        found = None
+        for a, sc in enumerate(src_cols):
+            i = next((i for i, e in enumerate(sc) if e), None)
+            if i is None:
+                continue
+            t = Fraction(col[i], sc[i])
+            if t > 0 and all(col[j] == t * sc[j] for j in range(len(col))):
+                found = (a, t)
+                break
+        if found is None:
+            return None
+        witnesses.append(found)
+    return witnesses
+
+
 def reference_assignment_rays(sigma, source: GenMatrix):
     """Extreme rays of one assignment's scaling cone {t >= 0 : N t = 0},
     one coordinate per assigned position, by double description on the
@@ -288,9 +330,10 @@ def reference_enumerate_homs(source: GenMatrix, target_size: int, lattice=None):
     """enumerate_homs by scanning every one of the (classes + 1)^m column
     assignments: each assignment's rays come from reference_assignment_rays;
     a single ray gives a family (bases merged across assignments, columns
-    outside the ray's support unassigned), several rays a cone record.  The
-    enumerator builds the same output from circuit placements alone; this is
-    the direct scan it is checked against."""
+    outside the ray's support unassigned), several rays a cone record; its
+    circuits come from reference_circuit_table.  The enumerator builds the
+    same output from circuit placements alone; this is the direct scan it is
+    checked against."""
     import itertools
     from tropfan import HomEnumeration, homsearch
     from tropfan.fan import direction_classes
@@ -320,7 +363,8 @@ def reference_enumerate_homs(source: GenMatrix, target_size: int, lattice=None):
             families[M0] = homsearch.HomFamily(tight, M0, modulus)
     fams = tuple(sorted(families.values(), key=homsearch.HomFamily.sort_key))
     recs = tuple(sorted(records, key=homsearch.ConeRecord.sort_key))
-    return HomEnumeration(n, target_size, source, lattice, fams, recs)
+    return HomEnumeration(n, target_size, source, lattice, fams, recs,
+                          tuple(reference_circuit_table(reps, n, target_size)))
 
 
 def reference_expand_cones(enum, bound):

@@ -384,6 +384,8 @@ def test_byte_determinism_across_runs(fan_files):
     ("homs", "{x}", "full:1_0"),
     ("homs", "{x}", "full: 3"),
     ("homs", "{x}", "full:+3"),
+    ("polyeq", "--on-space", "1_0", "x1", "x1"),
+    ("polyeq", "--on-space", " +2", "x1", "x1"),
 ])
 def test_input_errors_exit_2_without_traceback(fan_files, tmp_path, args):
     x, y = fan_files

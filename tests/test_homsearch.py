@@ -12,13 +12,14 @@ from tropfan import (Fan1D, GenMatrix, Lattice, NotGeometricError, Ray,
                      parse_poly, recover_T, separating_pair, substitute_units,
                      weighted_eval_map)
 from tropfan import homsearch
-from tropfan.fan import direction_classes
+from tropfan.fan import direction_classes, primitive
 
 from helpers import (B1, B2, FAN_X, FAN_Y, box_hom_oracle, column_permutations,
                      genmatrix_x, genmatrix_y, lattice_y, random_degree_zero_row,
                      random_primitive_direction, random_source_with_classes,
                      reference_circuit_table, reference_cone_records, reference_enumerate_homs,
-                     reference_expand, reference_expand_cones, scale_matrix)
+                     reference_expand, reference_expand_cones, reference_geometric_check,
+                     scale_matrix)
 
 
 def vecs(matrix):
@@ -67,6 +68,54 @@ class TestGeometricCheck:
         gm = GenMatrix.from_matrix([(1, 2, -3), (-1, -2, 3)])
         w = geometric_check(vecs(((3, 0), (-3, 0))), gm)
         assert w == [(0, Fraction(3)), (None, Fraction(0))]
+
+    def test_matches_column_scan(self):
+        # the lookup by primitive direction against the scan over every
+        # source column it replaced; image columns are zero, positive or
+        # negative multiples of a source column, or fresh vectors, and the
+        # sources have zero, parallel and antiparallel columns, so matches
+        # land on classes of several labels, where the lowest label wins
+        rng = random.Random(20261020)
+        kinds, outcomes = Counter(), Counter()
+        for _ in range(400):
+            source, _ = random_source_with_classes(rng)
+            cols = source.columns()
+            image_cols = []
+            for _ in range(rng.randint(1, 5)):
+                kind = rng.choice(["zero", "parallel", "parallel", "antiparallel", "fresh"])
+                col = rng.choice(cols)
+                if kind == "zero" or not any(col):
+                    kind, col = "zero", (0,) * source.n
+                elif kind == "fresh":
+                    col = tuple(rng.randint(-3, 3) for _ in range(source.n))
+                else:
+                    s = rng.randint(1, 3) * (1 if kind == "parallel" else -1)
+                    col = tuple(s * e for e in col)
+                kinds[kind] += 1
+                image_cols.append(col)
+            images = vecs([[c[i] for c in image_cols] for i in range(source.n)])
+            w = geometric_check(images, source)
+            assert w == reference_geometric_check(images, source), (source, images)
+            if w is None:
+                outcomes["unmatched"] += 1
+            else:
+                outcomes["matched"] += 1
+                labels = [b for b, c in enumerate(cols) if any(c)]
+                outcomes["lowest"] += any(
+                    a is not None and sum(primitive(cols[b]) == primitive(cols[a])
+                                          for b in labels) > 1 for a, _ in w)
+        assert all(kinds[k] >= 100 for k in ("zero", "parallel", "antiparallel", "fresh"))
+        assert min(outcomes.values()) >= 40, outcomes
+
+    @pytest.mark.parametrize("rows", [
+        [TropVector.bottom(2), TropVector((0, 0)), TropVector((0, 0))],
+        [TropVector((1, -1)), TropVector((0,)), TropVector((0, 0))],
+        [TropVector((1, -1)), TropVector((0, 0))],
+    ])
+    def test_bad_rows_raise_like_column_scan(self, rows):
+        for check in (geometric_check, reference_geometric_check):
+            with pytest.raises(ValueError):
+                check(rows, genmatrix_x())
 
 
 class TestEnumerateFullTarget:
@@ -535,15 +584,18 @@ class TestCircuitTable:
         assert planar >= 80 and many >= 40 and dropped >= 40
 
     def test_double_description_runs_once_per_class_subset(self, monkeypatch):
-        # work-counter gate: one double description over X's 5 classes, for
-        # the enumeration and again for an expansion; the class-subset loop
-        # made up to 2^5 - 1 runs and a scan over assignments 6^5
+        # work-counter gate: one double description over X's 5 classes for
+        # the enumeration, and none for its expansions, which read the
+        # enumeration's circuits; the class-subset loop made up to 2^5 - 1
+        # runs and a scan over assignments 6^5
         calls = count_calls(monkeypatch, "extreme_rays")
         enum = enumerate_homs(genmatrix_x(), 5)
         assert len(calls) == 1
         assert (len(enum.families), len(enum.cone_records)) == (120, 1500)
         enum.expand(1)
-        assert len(calls) == 2
+        assert len(calls) == 1
+        enum.expand(2)
+        assert len(calls) == 1
 
     def test_many_classes_small_target(self, monkeypatch):
         # 12 classes into 2 labels: one double description on all 12 classes

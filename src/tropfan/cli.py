@@ -3,10 +3,13 @@ morphism enumeration, witness construction, polynomial equality.
 
 Exit codes: 0 success, 1 semantic negative (point in support, functions
 unequal), 2 input error, 3 inexhaustive enumeration (cone records present
-and no --expand bound given).  Enumerations stream JSON lines; rationals
-are printed as exact "p/q" strings.  With --expand B, homs and morphisms
-print the explicit matrices of the library's expand and expand_T: those
-whose homomorphism (image) matrix has every entry in [-B, B].
+and no --expand bound given).  Each input is checked once, where it enters:
+by argparse, a loader or the library call that reads it.  Such checks raise
+ValueError, and main alone maps it to one "error:" line and exit 2.
+Enumerations stream JSON lines; rationals are printed as exact "p/q"
+strings.  With --expand B, homs and morphisms print the explicit matrices of
+the library's expand and expand_T: those whose homomorphism (image) matrix
+has every entry in [-B, B].
 """
 
 from __future__ import annotations
@@ -28,26 +31,20 @@ EXIT_INPUT = 2
 EXIT_INEXHAUSTIVE = 3
 
 
-class InputError(Exception):
-    pass
-
-
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_fan(path: str) -> Fan1D:
     data = _load_json(path)
-    if not isinstance(data, dict):
-        raise InputError(f"{path}: expected a fan object with ambient_dim and rays")
     try:
         return Fan1D.from_json_dict(data)
     except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _load_genmatrix(path: str) -> GenMatrix:
@@ -59,7 +56,7 @@ def _load_genmatrix(path: str) -> GenMatrix:
         return GenMatrix.from_matrix([[json_int(e, "matrix entry") for e in row]
                                       for row in data])
     except (ValueError, TypeError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def cmd_check(args) -> int:
@@ -70,15 +67,8 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _eval_map(fan: Fan1D, path: str) -> GenMatrix:
-    try:
-        return weighted_eval_map(fan)
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
 def cmd_evalmap(args) -> int:
-    gm = _eval_map(_load_fan(args.fan), args.fan)
+    gm = weighted_eval_map(_load_fan(args.fan))
     print(json.dumps(gm.matrix()))
     return EXIT_OK
 
@@ -103,12 +93,10 @@ def cmd_homs(args) -> int:
     if target.startswith("full:"):
         digits = target.split(":", 1)[1]
         if not digits.isdecimal():
-            raise InputError(f"bad target {target!r}: expected full:<size>")
+            raise ValueError(f"bad target {target!r}: expected full:<size>")
         size = int(digits)
-        if size < 1:
-            raise InputError(f"bad target {target!r}: the size must be positive")
         if size > sys.maxsize:
-            raise InputError(f"bad target {target!r}: the size exceeds {sys.maxsize}")
+            raise ValueError(f"bad target {target!r}: the size exceeds {sys.maxsize}")
         lattice = None
     else:
         tg = _load_genmatrix(target)
@@ -121,8 +109,6 @@ def cmd_homs(args) -> int:
 def cmd_morphisms(args) -> int:
     from_fan = _load_fan(args.from_fan)
     to_fan = _load_fan(args.to_fan)
-    _eval_map(from_fan, args.from_fan)
-    _eval_map(to_fan, args.to_fan)
     enum = enumerate_morphisms(from_fan, to_fan)
     return _print_enumeration(enum, None if args.expand is None else enum.expand_T(args.expand))
 
@@ -131,14 +117,14 @@ def _parse_point(text: str) -> list[Fraction]:
     try:
         return [Fraction(part.strip()) for part in text.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad point {text!r}: {exc}") from exc
+        raise ValueError(f"bad point {text!r}: {exc}") from exc
 
 
 def cmd_witness(args) -> int:
     fan = _load_fan(args.fan)
     point = _parse_point(args.point)
     if len(point) != fan.ambient_dim:
-        raise InputError(f"point has {len(point)} coordinates, fan lives in "
+        raise ValueError(f"point has {len(point)} coordinates, fan lives in "
                          f"R^{fan.ambient_dim}")
     try:
         pair = separating_pair(fan.directions, point)
@@ -152,21 +138,11 @@ def cmd_witness(args) -> int:
 
 
 def cmd_polyeq(args) -> int:
-    if (args.on_fan is None) == (args.on_space is None):
-        raise InputError("exactly one of --on-fan and --on-space is required")
-    if args.on_fan is not None:
-        fan = _load_fan(args.on_fan)
-        dim = fan.ambient_dim
-    else:
-        dim = args.on_space
-        if dim < 1:
-            raise InputError("--on-space dimension must be positive")
-    try:
-        f = parse_poly(args.f, dim)
-        g = parse_poly(args.g, dim)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    if args.on_fan is not None:
+    fan = None if args.on_fan is None else _load_fan(args.on_fan)
+    dim = args.on_space if fan is None else fan.ambient_dim
+    f = parse_poly(args.f, dim)
+    g = parse_poly(args.g, dim)
+    if fan is not None:
         if fn_eq_on_rays(f, g, fan.directions):
             print("equal")
             return EXIT_OK
@@ -226,8 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("polyeq", help="decide equality of two polynomial functions")
-    p.add_argument("--on-fan", metavar="FAN", help="compare on a fan's support")
-    p.add_argument("--on-space", type=_bound, metavar="N", help="compare on all of R^N")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--on-fan", metavar="FAN", help="compare on a fan's support")
+    mode.add_argument("--on-space", type=_bound, metavar="N", help="compare on all of R^N")
     p.add_argument("f")
     p.add_argument("g")
     p.set_defaults(func=cmd_polyeq)
@@ -240,7 +217,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

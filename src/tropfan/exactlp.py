@@ -113,16 +113,16 @@ def _check_dims(dim: int, pts: Sequence[Sequence]) -> None:
 
 
 def in_convex_hull(point: Sequence, vertices: Sequence[Sequence]) -> bool:
-    """Exact test: is point a convex combination of the given vertices?"""
+    """Exact test: is point a convex combination of the given vertices?
+    The entries reach solve_eq_nonneg unchanged; it checks each one once."""
     pts = list(vertices)
     if not pts:
         return False
     dim = len(point)
     _check_dims(dim, pts)
-    A = [[exact_rational(p[i]) for p in pts] for i in range(dim)]
-    A.append([Fraction(1)] * len(pts))
-    b = [exact_rational(e) for e in point] + [Fraction(1)]
-    return solve_eq_nonneg(A, b) is not None
+    A = [[p[i] for p in pts] for i in range(dim)]
+    A.append([1] * len(pts))
+    return solve_eq_nonneg(A, [*point, 1]) is not None
 
 
 def strict_separator(point: Sequence, others: Sequence[Sequence]) -> Optional[list[Fraction]]:
@@ -130,6 +130,8 @@ def strict_separator(point: Sequence, others: Sequence[Sequence]) -> Optional[li
 
     Exists iff point is outside the convex hull of others.  Found by solving
     the slack form (point - v) . (w+ - w-) - s_v = 1, all variables >= 0.
+    Each entry is checked before the differences are taken, so bools,
+    floats and strings are refused, and integer data stays integer.
     """
     pts = list(others)
     dim = len(point)
@@ -137,15 +139,12 @@ def strict_separator(point: Sequence, others: Sequence[Sequence]) -> Optional[li
         raise ValueError("need at least one point to separate from")
     _check_dims(dim, pts)
     k = len(pts)
-    u = [exact_rational(e) for e in point]
+    u = [_entry(e) for e in point]
     A = []
-    b = []
     for idx, v in enumerate(pts):
-        diff = [u[i] - exact_rational(v[i]) for i in range(dim)]
-        row = diff + [-e for e in diff] + [Fraction(-int(j == idx)) for j in range(k)]
-        A.append(row)
-        b.append(Fraction(1))
-    x = solve_eq_nonneg(A, b)
+        diff = [a - _entry(c) for a, c in zip(u, v)]
+        A.append(diff + [-e for e in diff] + [-int(j == idx) for j in range(k)])
+    x = solve_eq_nonneg(A, [1] * k)
     if x is None:
         return None
     return [x[i] - x[dim + i] for i in range(dim)]

@@ -91,6 +91,8 @@ def separating_pair(z_dirs: Sequence[Sequence[int]],
     would force d parallel to p, contradicting the point being off-support.
     """
     point = tuple(map(exact_rational, p))
+    if any(len(d) != len(point) for d in z_dirs):
+        raise ValueError(f"every direction must have the point's {len(point)} coordinates")
     if not any(point):
         raise PointInSupportError("the origin lies in every cone-closed set")
     d1 = integerize(point)

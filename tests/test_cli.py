@@ -386,6 +386,10 @@ def test_byte_determinism_across_runs(fan_files):
     ("homs", "{x}", "full:+3"),
     ("polyeq", "--on-space", "1_0", "x1", "x1"),
     ("polyeq", "--on-space", " +2", "x1", "x1"),
+    ("witness", "{empty}", "1,2,3"),
+    ("witness", "{x}", "0,0"),
+    ("polyeq", "x1", "x1"),
+    ("polyeq", "--on-space", "0", "x1", "x1"),
 ])
 def test_input_errors_exit_2_without_traceback(fan_files, tmp_path, args):
     x, y = fan_files
@@ -396,6 +400,19 @@ def test_input_errors_exit_2_without_traceback(fan_files, tmp_path, args):
     code, _, err = run(*(a.format(x=x, y=y, empty=empty, binary=binary) for a in args))
     assert code == 2
     assert err and "Traceback" not in err
+
+
+def test_library_value_error_exits_2_in_main(fan_files, monkeypatch, capsys):
+    # main is the one place that turns a ValueError into exit 2
+    def reject(*args):
+        raise ValueError("rejected by the library")
+
+    monkeypatch.setattr(tropfan.cli, "enumerate_homs", reject)
+    x, _ = fan_files
+    assert tropfan.cli.main(["homs", x, "full:2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rejected by the library\n"
 
 
 # Fuzzing: random argv over every subcommand, with small random fan and

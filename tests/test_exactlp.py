@@ -165,12 +165,16 @@ class TestInputBoundary:
             in_convex_hull((0, 0), [(0, 0, 5), (1, 0, 5)])
         with pytest.raises(ValueError, match="expected an integer or a Fraction"):
             in_convex_hull((0.5, 0), [(0, 0), (1, 0)])
+        with pytest.raises(ValueError, match="expected an integer or a Fraction"):
+            in_convex_hull((0, 0), [(0, True)])
 
     def test_separator_points_must_share_dimension(self):
         with pytest.raises(ValueError, match="coordinates, expected 2"):
             strict_separator((2, 0), [(0,)])
         with pytest.raises(ValueError, match="expected an integer or a Fraction"):
             strict_separator((2, 0), [(0, True)])
+        with pytest.raises(ValueError, match="expected an integer or a Fraction"):
+            strict_separator((True, 0), [(0, 0)])
 
 
 def _random_system(rng, k):
@@ -236,12 +240,8 @@ class TestDifferential:
         assert {h for h, _ in got} == {True, False}
 
 
-def test_integer_data_stays_off_fractions():
-    """Integer data is pivoted without Fractions: only reading x builds them
-    (at most one per variable), where the Fraction tableau made 1,582 calls
-    into fractions.py on this system."""
-    A = [[1, 2, -1, 0, 3], [0, 1, 1, -2, 1], [2, -1, 0, 1, 1]]
-    b = [4, 1, 3]
+def _fraction_calls(fn):
+    """fn's result and the number of Python calls it made into fractions.py."""
     calls = 0
 
     def count(frame, event, arg):
@@ -251,8 +251,39 @@ def test_integer_data_stays_off_fractions():
 
     sys.setprofile(count)
     try:
-        x = solve_eq_nonneg(A, b)
+        result = fn()
     finally:
         sys.setprofile(None)
+    return result, calls
+
+
+def test_integer_data_stays_off_fractions(monkeypatch):
+    """Integer data is pivoted without Fractions: only reading x builds them
+    (at most one per variable, and the shared zero), where the Fraction
+    tableau made 1,582 calls into fractions.py on the first system.  The hull
+    and separator LPs hand integer points to the simplex as integer rows (at
+    the parent they made 50 and 164 calls on the triangle)."""
+    A = [[1, 2, -1, 0, 3], [0, 1, 1, -2, 1], [2, -1, 0, 1, 1]]
+    b = [4, 1, 3]
+    x, calls = _fraction_calls(lambda: solve_eq_nonneg(A, b))
     assert x == reference_solve_eq_nonneg(A, b)
     assert calls <= len(A[0])
+
+    rows = []
+
+    def recording(A, b):
+        rows.extend([*A, b])
+        return solve_eq_nonneg(A, b)
+
+    monkeypatch.setattr(exactlp, "solve_eq_nonneg", recording)
+    tri = [(0, 0), (4, 0), (0, 4)]
+    for u in ((1, 1), (5, 1), (4, 0)):
+        inside, calls = _fraction_calls(lambda: in_convex_hull(u, tri))
+        assert inside == (u != (5, 1))
+        assert calls <= len(tri) + 1
+    for u in ((3, 3), (1, 1)):
+        w, calls = _fraction_calls(lambda: strict_separator(u, tri))
+        assert (w is None) == (u == (1, 1))
+        # reading x, then one Fraction subtraction per coordinate of w
+        assert calls <= 2 * len(tri) + 1 + 10 * len(u)
+    assert rows and all(type(e) is int for row in rows for e in row)

@@ -109,6 +109,17 @@ class TestSeparatingPair:
         with pytest.raises(PointInSupportError):
             separating_pair([(1, 0)], (0, 0))
 
+    def test_direction_length_must_match_point(self):
+        # a longer direction was truncated by zip, so the pair proved nothing;
+        # the check comes before the origin test
+        for q in ((1, 2), (0, 0)):
+            with pytest.raises(ValueError, match="the point's 2 coordinates"):
+                separating_pair([(1, 0, 1)], q)
+        with pytest.raises(ValueError, match="the point's 2 coordinates"):
+            separating_pair([(1, 0), (1,)], (0, 1))
+        with pytest.raises(ValueError, match="the point's 2 coordinates"):
+            in_congruence_variety((1, 2), [(1, 0, 1)])
+
     def test_opposite_direction_is_off_support(self):
         w = separating_pair([(1, 0)], (-1, 0))
         assert verify_witness(w, [(1, 0)])

@@ -22,7 +22,7 @@ from fractions import Fraction
 from .fan import Fan1D, GenMatrix, check_balancing, json_int, weighted_eval_map
 from .homsearch import enumerate_homs, enumerate_morphisms
 from .lattice import Lattice
-from .tropoly import parse_poly, fn_eq_on_rays, separating_point
+from .tropoly import differing_direction, parse_poly, separating_point
 from .witness import PointInSupportError, separating_pair, verify_witness, witness_to_json
 
 EXIT_OK = 0
@@ -142,15 +142,8 @@ def cmd_polyeq(args) -> int:
     dim = args.on_space if fan is None else fan.ambient_dim
     f = parse_poly(args.f, dim)
     g = parse_poly(args.g, dim)
-    if fan is not None:
-        if fn_eq_on_rays(f, g, fan.directions):
-            print("equal")
-            return EXIT_OK
-        print("unequal")
-        bad = next(d for d in fan.directions if f.eval(d) != g.eval(d))
-        print(json.dumps([str(c) for c in bad]))
-        return EXIT_NEGATIVE
-    point = separating_point(f, g)
+    point = (separating_point(f, g) if fan is None
+             else differing_direction(f, g, fan.directions))
     if point is None:
         print("equal")
         return EXIT_OK

@@ -11,6 +11,7 @@ balanced.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -37,10 +38,12 @@ def json_int(value, what: str) -> int:
     return value
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class Ray:
     """A rational ray: primitive integer direction plus a positive weight."""
 
-    __slots__ = ("direction", "weight")
+    direction: tuple[int, ...]
+    weight: int
 
     def __init__(self, direction: Sequence[int], weight: int = 1):
         object.__setattr__(self, "direction", primitive(direction))
@@ -49,21 +52,11 @@ class Ray:
             raise ValueError(f"weight must be a positive integer, got {weight}")
         object.__setattr__(self, "weight", weight)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Ray is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Ray)
-                and self.direction == other.direction
-                and self.weight == other.weight)
-
-    def __hash__(self) -> int:
-        return hash((self.direction, self.weight))
-
     def __repr__(self) -> str:
         return f"Ray({list(self.direction)}, weight={self.weight})"
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class Fan1D:
     """An ordered list of rays with pairwise distinct directions.
 
@@ -71,7 +64,8 @@ class Fan1D:
     support is the origin alone.
     """
 
-    __slots__ = ("ambient_dim", "rays")
+    ambient_dim: int
+    rays: tuple[Ray, ...]
 
     def __init__(self, ambient_dim: int, rays: Iterable[Ray]):
         ambient_dim = exact_int(ambient_dim)
@@ -88,9 +82,6 @@ class Fan1D:
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "rays", rays)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Fan1D is immutable")
-
     @property
     def directions(self) -> tuple[tuple[int, ...], ...]:
         return tuple(r.direction for r in self.rays)
@@ -98,11 +89,6 @@ class Fan1D:
     @property
     def n_rays(self) -> int:
         return len(self.rays)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Fan1D)
-                and self.ambient_dim == other.ambient_dim
-                and self.rays == other.rays)
 
     def __repr__(self) -> str:
         return f"Fan1D({self.ambient_dim}, {list(self.rays)})"
@@ -142,12 +128,13 @@ def check_balancing(fan: Fan1D) -> bool:
     return not any(total)
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class GenMatrix:
     """Rows of max-plus vectors over a common label set; columns are the
     per-label evaluation vectors.  For a balanced fan every row has degree
     zero (the rows are units)."""
 
-    __slots__ = ("rows",)
+    rows: tuple[TropVector, ...]
 
     def __init__(self, rows: Iterable[TropVector]):
         rows = tuple(rows)
@@ -160,9 +147,6 @@ class GenMatrix:
             if r.size != size:
                 raise ValueError("generator rows live over different label sets")
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GenMatrix is immutable")
 
     @classmethod
     def from_matrix(cls, matrix: Sequence[Sequence[int]]) -> "GenMatrix":
@@ -188,9 +172,6 @@ class GenMatrix:
     @property
     def all_unit_rows(self) -> bool:
         return all(r.is_unit for r in self.rows)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GenMatrix) and self.rows == other.rows
 
     def __repr__(self) -> str:
         return f"GenMatrix({[list(r.entries) for r in self.rows]})"

@@ -8,6 +8,7 @@ basis of the row lattice, so lattices compare by structural equality.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import gcd, lcm, prod
 from typing import Optional, Sequence
 
@@ -127,14 +128,12 @@ def _reduce_against(H: IntMatrix, v: Sequence[int]):
     return coeffs, vv
 
 
+@dataclass(frozen=True, repr=False)
 class Lattice:
     """A subgroup of Z^m stored by its canonical row-HNF basis."""
 
-    __slots__ = ("ambient", "basis")
-
-    def __init__(self, ambient: int, basis: IntMatrix):
-        self.ambient = ambient
-        self.basis = basis
+    ambient: int
+    basis: IntMatrix
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], ambient: int | None = None) -> "Lattice":
@@ -181,14 +180,6 @@ class Lattice:
         if any(residue):
             raise LatticeSpanError("vector is outside the rational span of the lattice")
         return P // gcd(P, *coeffs)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Lattice)
-                and self.ambient == other.ambient
-                and self.basis == other.basis)
-
-    def __hash__(self) -> int:
-        return hash((self.ambient, self.basis))
 
     def __repr__(self) -> str:
         return f"Lattice(ambient={self.ambient}, basis={[list(r) for r in self.basis]})"

@@ -11,6 +11,7 @@ entrywise negation.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Iterator, Optional
@@ -61,14 +62,17 @@ def ext_add(a: Optional[int], b: Optional[int]) -> Optional[int]:
     return a + b
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class TropVector:
     """An integer vector with max-plus operations, or the bottom element.
 
-    Instances are immutable and hashable; all operations return new vectors.
-    ``entries`` is a tuple of ints, or None for bottom.
+    A frozen dataclass, so compared, hashed, copied and pickled by value;
+    all operations return new vectors.  ``entries`` is a tuple of ints, or
+    None for bottom; ``size`` is the number of labels.
     """
 
-    __slots__ = ("entries", "size")
+    size: int
+    entries: Optional[tuple[int, ...]]
 
     def __init__(self, entries: Iterable[int] | None, size: int | None = None):
         if entries is None:
@@ -86,9 +90,6 @@ class TropVector:
             object.__setattr__(self, "size", len(tup))
         if self.size == 0:
             raise ValueError("empty label sets are not supported")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TropVector is immutable")
 
     @classmethod
     def bottom(cls, size: int) -> "TropVector":
@@ -165,14 +166,6 @@ class TropVector:
         e2 = list(self.entries)
         e2[a2] -= d
         return TropVector(e1), TropVector(e2)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TropVector)
-                and self.size == other.size
-                and self.entries == other.entries)
-
-    def __hash__(self) -> int:
-        return hash((self.size, self.entries))
 
     def __getitem__(self, a: int) -> int:
         if self.is_bottom:

@@ -13,6 +13,7 @@ rational linear feasibility, never by sampling.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -30,6 +31,7 @@ class PolySyntaxError(ValueError):
         super().__init__(f"{message} (at position {position})")
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class TropPoly:
     """A Boolean Laurent polynomial as a set of integer exponent vectors.
 
@@ -38,7 +40,8 @@ class TropPoly:
     the function-equality deciders.
     """
 
-    __slots__ = ("dim", "monomials")
+    dim: int
+    monomials: frozenset[Monomial]
 
     def __init__(self, dim: int, monomials: Iterable[Sequence[int]]):
         dim = exact_int(dim)
@@ -50,9 +53,6 @@ class TropPoly:
                 raise ValueError(f"exponent vector {u} has length != {dim}")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "monomials", mono)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TropPoly is immutable")
 
     @classmethod
     def zero(cls, dim: int) -> "TropPoly":
@@ -79,14 +79,6 @@ class TropPoly:
     def _check_dim(self, other: "TropPoly") -> None:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TropPoly)
-                and self.dim == other.dim
-                and self.monomials == other.monomials)
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.monomials))
 
     def sorted_monomials(self) -> list[Monomial]:
         return sorted(self.monomials)
@@ -231,7 +223,14 @@ def separating_point(f: TropPoly, g: TropPoly) -> Optional[tuple[Fraction, ...]]
 def fn_eq_on_rays(f: TropPoly, g: TropPoly,
                   directions: Iterable[Sequence[int]]) -> bool:
     """Equality of the functions on the union of the rays spanned by the
-    given directions (plus the origin, where every polynomial takes 0).
+    given directions (plus the origin, where every polynomial takes 0)."""
+    return differing_direction(f, g, directions) is None
+
+
+def differing_direction(f: TropPoly, g: TropPoly,
+                        directions: Iterable[Sequence[int]]) -> Optional[tuple[int, ...]]:
+    """The first of the given ray directions where f and g differ, or None
+    when they agree on the union of those rays.
 
     Agreement along a whole ray is equivalent to agreement at any single
     point of it, so one exact evaluation per direction decides.
@@ -244,8 +243,8 @@ def fn_eq_on_rays(f: TropPoly, g: TropPoly,
         if not any(d):
             raise ValueError("invalid ray: zero direction vector")
         if f.eval(d) != g.eval(d):
-            return False
-    return True
+            return d
+    return None
 
 
 def substitute_units(f: TropPoly, units: Sequence[TropVector]) -> TropVector:

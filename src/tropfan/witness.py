@@ -93,10 +93,10 @@ def separating_pair(z_dirs: Sequence[Sequence[int]],
     point = tuple(map(exact_rational, p))
     if any(len(d) != len(point) for d in z_dirs):
         raise ValueError(f"every direction must have the point's {len(point)} coordinates")
+    dirs = [primitive(d) for d in z_dirs]
     if not any(point):
         raise PointInSupportError("the origin lies in every cone-closed set")
     d1 = integerize(point)
-    dirs = [primitive(d) for d in z_dirs]
     if d1 in dirs:
         raise PointInSupportError(f"point direction {d1} lies in the ray union")
     basis = orth_basis(point)

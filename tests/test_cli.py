@@ -306,6 +306,34 @@ class TestPolyeq:
         code, out, _ = run("polyeq", "--on-fan", str(p), "x1 + x2", "x1")
         assert code == 0 and out.strip() == "equal"
 
+    def test_unequal_on_fan_prints_first_differing_direction(self, tmp_path):
+        # x1 and x2 differ on (1, 0) and (0, 1): fan order, not sorted order
+        p = tmp_path / "f.json"
+        p.write_text(json.dumps({"ambient_dim": 2,
+                                 "rays": [{"direction": [1, 0], "weight": 1},
+                                          {"direction": [0, 1], "weight": 1},
+                                          {"direction": [-1, -1], "weight": 1}]}))
+        code, out, _ = run("polyeq", "--on-fan", str(p), "x2", "x1")
+        assert code == 1
+        assert out == 'unequal\n["1", "0"]\n'
+
+    def test_on_fan_decides_once(self, fan_files, monkeypatch):
+        # one scan decides and names the direction: no (polynomial,
+        # direction) pair is evaluated twice
+        calls = Counter()
+        real = tropfan.tropoly.TropPoly.eval
+
+        def counted(self, point):
+            calls[self, tuple(point)] += 1
+            return real(self, point)
+
+        monkeypatch.setattr(tropfan.tropoly.TropPoly, "eval", counted)
+        x, _ = fan_files
+        for f, g, code in (("x1 + x2", "x1", 1), ("x1 + x2", "x1 + x2 + 0", 0)):
+            calls.clear()
+            assert tropfan.cli.main(["polyeq", "--on-fan", x, f, g]) == code
+            assert calls and max(calls.values()) == 1
+
     def test_unequal_on_space_with_certificate(self):
         code, out, _ = run("polyeq", "--on-space", "2", "x1 + x2", "x1")
         assert code == 1

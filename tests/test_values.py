@@ -1,0 +1,42 @@
+"""Value semantics: the library's value types and enumeration results are
+frozen dataclasses, so copies and pickles compare equal to the original and
+no field can be reassigned."""
+
+import copy
+import dataclasses
+import pickle
+
+import pytest
+
+from tropfan import (Fan1D, GenMatrix, Lattice, Ray, TropPoly, TropVector,
+                     enumerate_homs, enumerate_morphisms)
+
+from helpers import FAN_X, FAN_Y, MG_ROWS, genmatrix_x
+
+VALUES = {
+    "TropVector": TropVector([2, -1, 0]),
+    "TropVector.bottom": TropVector.bottom(3),
+    "Ray": Ray([2, 4], 3),
+    "Fan1D": FAN_Y,
+    "GenMatrix": GenMatrix.from_matrix(MG_ROWS),
+    "TropPoly": TropPoly(2, [(1, 0), (0, -1)]),
+    "TropPoly.zero": TropPoly.zero(2),
+    "Lattice": Lattice.from_rows(MG_ROWS),
+}
+RESULTS = {
+    "HomEnumeration": enumerate_homs(genmatrix_x(), 3),
+    "MorphismEnumeration": enumerate_morphisms(FAN_X, FAN_Y),
+}
+
+
+@pytest.mark.parametrize("name", [*VALUES, *RESULTS])
+def test_copy_pickle_and_frozen_fields(name):
+    value = {**VALUES, **RESULTS}[name]
+    for twin in (copy.copy(value), copy.deepcopy(value),
+                 pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and twin == value
+        if name in VALUES:
+            assert hash(twin) == hash(value)
+    for attr in (dataclasses.fields(value)[0].name, "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(value, attr, None)

@@ -120,6 +120,15 @@ class TestSeparatingPair:
         with pytest.raises(ValueError, match="the point's 2 coordinates"):
             in_congruence_variety((1, 2), [(1, 0, 1)])
 
+    def test_zero_direction_refused_at_every_point(self):
+        # directions are checked before the origin test, so the answer
+        # does not depend on the point
+        for q in ((0, 0), (1, 0)):
+            with pytest.raises(ValueError, match="zero vector spans no ray"):
+                separating_pair([(0, 0)], q)
+            with pytest.raises(ValueError, match="zero vector spans no ray"):
+                in_congruence_variety(q, [(1, 0), (0, 0)])
+
     def test_opposite_direction_is_off_support(self):
         w = separating_pair([(1, 0)], (-1, 0))
         assert verify_witness(w, [(1, 0)])

@@ -75,16 +75,16 @@ def cmd_evalmap(args) -> int:
 
 def _print_enumeration(enum, matrices: set | None) -> int:
     """The enumeration's JSON lines, or, given its expanded matrices, the
-    zero line followed by the nonzero matrices in sorted order."""
+    zero line followed by the nonzero matrices in sorted order, in one
+    write."""
     if matrices is None:
-        for line in enum.to_json_lines():
-            print(line)
-        return EXIT_INEXHAUSTIVE if enum.inexhaustive else EXIT_OK
-    print(json.dumps({"kind": "zero"}))
-    for M in sorted(matrices):
-        if any(any(row) for row in M):
-            print(json.dumps({"kind": "matrix", "matrix": M}))
-    return EXIT_OK
+        lines = enum.to_json_lines()
+    else:
+        lines = [json.dumps({"kind": "zero"}),
+                 *(json.dumps({"kind": "matrix", "matrix": M})
+                   for M in sorted(matrices) if any(map(any, M)))]
+    sys.stdout.write("\n".join(lines) + "\n")
+    return EXIT_INEXHAUSTIVE if matrices is None and enum.inexhaustive else EXIT_OK
 
 
 def cmd_homs(args) -> int:

@@ -19,11 +19,17 @@ primitive base matrix together with the scalar modulus forced by the
 target lattice.  Patterns admitting two or more placements span cones of
 dimension two or more; they are reported verbatim as cone records and
 flag the result inexhaustive.  No step
-iterates all (classes + 1)^m patterns: records are built only for the class
-multisets that admit two or more placements, and the members within an
-entry bound are built once each from the bounded kernel points of the class
-multisets the circuits cover.  A multiset is laid over the slots from a
-table of every layout of its count shape, built once per shape and call.
+iterates all (classes + 1)^m patterns or all class multisets: records and
+expansions walk the class sets that hold a circuit (for expansions, that
+the circuits inside cover), find those circuits once per set, and then walk
+the set's count vectors.  Records are built only for the multisets that
+admit two or more placements, and the members within an entry bound are
+built once each from the bounded kernel points of each multiset.  A
+multiset is laid over the slots from a table of every layout of its count
+shape, built once per shape and call; a circuit's sorted placements at
+every layout are built once per call for each shape and value indices of
+its classes, and records share them.  The JSON lines dump each distinct
+placement matrix once and join the cone lines from those texts.
 """
 
 from __future__ import annotations
@@ -33,8 +39,9 @@ import json
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, prod
-from operator import itemgetter
+from operator import itemgetter, or_, sub
 from typing import Iterable, Optional, Sequence
 
 from .cones import bounded_points, extreme_rays
@@ -140,10 +147,10 @@ def _circuit_table(reps: list[tuple[int, tuple[int, ...]]], n: int,
 
 def _matrix_from_ray(sigma: Assignment, ray: Sequence[int],
                      class_dirs: dict[int, tuple[int, ...]], n: int) -> IntMatrix:
-    positions = [b for b, a in enumerate(sigma) if a is not None]
-    t = {b: ray[k] for k, b in enumerate(positions)}
-    return tuple(tuple(0 if a is None else t.get(b, 0) * class_dirs[a][i]
-                       for b, a in enumerate(sigma)) for i in range(n))
+    scales = iter(ray)  # one per assigned slot, in slot order
+    zero = (0,) * n
+    return tuple(zip(*[zero if a is None else tuple(map(next(scales).__mul__, class_dirs[a]))
+                       for a in sigma]))
 
 
 def _layouts(shape: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
@@ -164,9 +171,35 @@ def _layouts(shape: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[tuple[
     return out
 
 
-def _groups(multiset: Sequence) -> tuple[tuple, tuple[int, ...]]:
-    """The distinct values of a grouped multiset and the count of each."""
-    return tuple(zip(*((a, len(list(g))) for a, g in itertools.groupby(multiset))))
+def _class_multisets(classes: Sequence[int], circuits: Sequence[Circuit], m: int,
+                     covered: bool = False):
+    """The class multisets over m slots that hold a circuit, walked as class
+    sets, then counts: each set S of 2 to m classes with a circuit inside
+    (covered: the union of the circuits inside S is S), then each count
+    vector giving every class of S one slot or more, the rest of the slots
+    None.  Yields (values, counts, live): values are S, led by None when a
+    slot is None, and live pairs each circuit inside S with the value index
+    of each of its classes."""
+    if not circuits:  # then no set holds one, and none needs a visit
+        return
+    bit = {a: 1 << i for i, a in enumerate(classes)}
+    masks = [sum(map(bit.__getitem__, labels)) for labels, _ in circuits]
+    for k in range(2, min(m, len(classes)) + 1):
+        for S in itertools.combinations(classes, k):
+            s = sum(map(bit.__getitem__, S))
+            inside = [c for c, mask in enumerate(masks) if mask & s == mask]
+            if not inside or covered and s != reduce(or_, map(masks.__getitem__, inside)):
+                continue
+            at = {a: i for i, a in enumerate(S)}
+            live = [(c, tuple(map(at.__getitem__, circuits[c][0]))) for c in inside]
+            past_none = [(c, tuple(i + 1 for i in idx)) for c, idx in live]
+            for used in range(k, m + 1):
+                for cuts in itertools.combinations(range(1, used), k - 1):
+                    counts = tuple(map(sub, cuts + (used,), (0,) + cuts))
+                    if used == m:
+                        yield S, counts, live
+                    else:
+                        yield (None,) + S, (m - used,) + counts, past_none
 
 
 @dataclass(frozen=True)
@@ -201,10 +234,11 @@ class HomEnumeration:
         A nonzero member scales each slot b of its support by some k_b >= 1
         along its class direction d_b, with sum_b k_b d_b = 0, and class
         directions are primitive and distinct, so each member is built once:
-        per multiset of at most m classes covered by the circuits inside it
-        (a class in no such circuit is zero in every nonnegative kernel
-        vector), the positive points of one cones.bounded_points call are
-        placed at every layout of the multiset over the slots.  The circuits
+        per class set covered by the circuits inside it (a class in no such
+        circuit is zero in every nonnegative kernel vector), then per count
+        vector over at most m slots, the positive points of one
+        cones.bounded_points call are placed at every layout of the multiset
+        over the slots.  The circuits
         are the enumeration's own, so expanding runs no double description.
         MorphismEnumeration.expand_T and the CLI's --expand build on it."""
         entry_bound = exact_int(entry_bound)
@@ -212,21 +246,16 @@ class HomEnumeration:
             raise ValueError("entry bound must be nonnegative")
         n, m, L = self.n, self.target_size, self.target_lattice
         class_dirs = dict(direction_classes(self.source))
-        supports = [set(labels) for labels, _ in self.circuits]
-        live = sorted(set().union(*supports))
+        live = sorted({a for labels, _ in self.circuits for a in labels})
         out = {self.zero_matrix}
         tables: dict[tuple[int, ...], list] = {}
-        for multiset in itertools.combinations_with_replacement([None] + live, m):
-            classes = set(multiset) - {None}
-            if not classes or classes != set().union(*(s for s in supports if s <= classes)):
-                continue
-            dirs = [class_dirs[a] for a in multiset if a is not None]
+        for vals, shape, _ in _class_multisets(live, self.circuits, m, covered=True):
+            dirs = [class_dirs[a] for a, k in zip(vals, shape) if a is not None for _ in range(k)]
             N = [[d[i] for d in dirs] for i in range(n)]
             limits = [entry_bound // max(map(abs, d)) for d in dirs]
             points = [k for k in bounded_points(N, limits) if all(k)]
             if not points:
                 continue
-            vals, shape = _groups(multiset)
             if shape not in tables:
                 tables[shape] = _layouts(shape)
             for key, slots in tables[shape]:
@@ -251,13 +280,21 @@ def _assignment_json(assignment: Assignment) -> list:
     return [None if a is None else a + 1 for a in assignment]
 
 
-def _json_lines(families: Iterable[dict], records: Iterable[ConeRecord]) -> list[str]:
-    """The zero line, one line per family object, then one per cone record."""
+# a cone line is these two texts around the JSON list of its ray bases
+_CONE_HEAD, _CONE_TAIL = json.dumps({"kind": "cone", "rays": [], "flag": "inexhaustive"}).split("[]")
+
+
+def _json_lines(families: Iterable[dict], records: Sequence[ConeRecord]) -> list[str]:
+    """The zero line, one line per family object, then one per cone record.
+    Records share their placement matrices, so each distinct matrix is
+    dumped once and each cone line is joined from those texts, with the
+    bytes json.dumps gives the record's {"kind", "rays", "flag"} object."""
+    texts = dict.fromkeys(M for rec in records for M in rec.ray_bases)
+    text = dict(zip(texts, map(json.dumps, texts))).__getitem__
     return [json.dumps({"kind": "zero"}),
             *map(json.dumps, families),
-            *(json.dumps({"kind": "cone",
-                          "rays": rec.ray_bases,
-                          "flag": "inexhaustive"}) for rec in records)]
+            *(f"{_CONE_HEAD}[{', '.join(map(text, rec.ray_bases))}]{_CONE_TAIL}"
+              for rec in records)]
 
 
 def enumerate_homs(source: GenMatrix, target_size: int,
@@ -272,8 +309,9 @@ def enumerate_homs(source: GenMatrix, target_size: int,
     when no multiple of it meets the target lattice).  An
     assignment's scaling cone is spanned by the placements it admits, and
     their number depends only on how many labels the assignment gives each
-    class, so cone records are built only for the class multisets that admit
-    two or more placements, from the placement matrices already computed, at
+    class.  So cone records walk the class sets holding a circuit, then each
+    set's count vectors, and are built only for the multisets that admit two
+    or more placements, from the placement matrices already computed, at
     every layout of the multiset over the target labels.  The output is
     deterministically sorted.
     """
@@ -307,35 +345,33 @@ def enumerate_homs(source: GenMatrix, target_size: int,
             families.append(HomFamily(sigma, M0, modulus))
 
     keyed: list[tuple[tuple[int, ...], ConeRecord]] = []
-    tables: dict[tuple[int, ...], list] = {}
-    # without a circuit nothing is placed, so no multiset needs a visit
-    options = [None] + [a for a, _ in reps]
-    multisets = itertools.combinations_with_replacement(options, target_size) if circuits else ()
-    for multiset in multisets:
-        vals, shape = _groups(multiset)
-        index = {a: i for i, a in enumerate(vals)}
-        live = {c: [index[a] for a in labels] for c, (labels, _) in enumerate(circuits)
-                if all(a in index for a in labels)}  # circuit -> value index of each class
-        if sum(prod(shape[i] for i in idx) for idx in live.values()) < 2:
+    tables: dict[tuple[int, ...], list] = {}  # shape -> (key getter, slots) per layout
+    laid: dict[tuple, list] = {}  # (circuit, shape, value indices) -> sorted bases per layout
+    for vals, shape, live in _class_multisets([a for a, _ in reps], circuits, target_size):
+        if sum(prod(map(shape.__getitem__, idx)) for _, idx in live) < 2:
             continue
         if shape not in tables:
-            tables[shape] = _layouts(shape)
-        # a circuit has two or more classes, so each getter returns a tuple
-        getters = [(placed[c].__getitem__, itemgetter(*idx)) for c, idx in live.items()]
+            tables[shape] = [(itemgetter(*key), slots) for key, slots in _layouts(shape)]
+        table = tables[shape]
+        for c, idx in live:
+            if (c, shape, idx) not in laid:
+                # a circuit has two or more classes, so the getter returns a tuple
+                of, mat_at = itemgetter(*idx), placed[c].__getitem__
+                laid[c, shape, idx] = [tuple(sorted(map(mat_at, itertools.product(*of(slots)))))
+                                       for _, slots in table]
+        per_circuit = [laid[c, shape, idx] for c, idx in live]
+        bases_at = (per_circuit[0] if len(live) == 1 else
+                    [tuple(sorted(itertools.chain(*bs))) for bs in zip(*per_circuit)])
         sort_vals = [-1 if a is None else a for a in vals]
-        for key, slots in tables[shape]:
-            bases = []
-            for mat_at, slots_of in getters:
-                bases.extend(map(mat_at, itertools.product(*slots_of(slots))))
-            bases.sort()
-            keyed.append((tuple(map(sort_vals.__getitem__, key)),
-                          ConeRecord(tuple(map(vals.__getitem__, key)), tuple(bases))))
+        for (assign, _), bases in zip(table, bases_at):
+            keyed.append((assign(sort_vals), ConeRecord(assign(vals), bases)))
 
     fams = tuple(sorted(families, key=HomFamily.sort_key))
     recs = tuple(rec for _, rec in sorted(keyed, key=itemgetter(0)))
     return HomEnumeration(n, target_size, source, target_lattice, fams, recs, circuits)
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class Hom:
     """A concrete homomorphism, held as the images of the generator rows.
 
@@ -344,13 +380,15 @@ class Hom:
     the image rows into the expression.
     """
 
-    __slots__ = ("source", "images", "witnesses")
+    source: GenMatrix
+    images: tuple[TropVector, ...]
+    witnesses: tuple[tuple[Optional[int], Fraction], ...]
 
     def __init__(self, source: GenMatrix, images: Sequence[TropVector],
-                 witnesses: list[tuple[Optional[int], Fraction]]):
-        self.source = source
-        self.images = tuple(images)
-        self.witnesses = witnesses
+                 witnesses: Sequence[tuple[Optional[int], Fraction]]):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "images", tuple(images))
+        object.__setattr__(self, "witnesses", tuple(witnesses))
 
     def __call__(self, f: TropPoly) -> TropVector:
         return substitute_units(f, self.images)

@@ -1,9 +1,12 @@
 """Shared fixtures-in-plain-code for the test suite: the two reference fans,
 their generator matrices, and small random-object generators."""
 
+import json
 from fractions import Fraction
+from typing import Iterable
 
 from tropfan import Fan1D, GenMatrix, Lattice, Ray, TropPoly
+from tropfan.homsearch import ConeRecord
 
 # A balanced 5-ray fan in R^3 (the last ray carries weight 4) and a balanced
 # 3-ray fan in R^2; their evaluation matrices drive most worked examples.
@@ -324,6 +327,18 @@ def reference_cone_records(source: GenMatrix, target_size: int):
                            for choice in itertools.product(*(slots[a] for a in labels)))
             records.append(homsearch.ConeRecord(sigma, tuple(bases)))
     return tuple(sorted(records, key=homsearch.ConeRecord.sort_key))
+
+
+def reference_json_lines(families: Iterable[dict], records: Iterable[ConeRecord]) -> list[str]:
+    """The zero line, one line per family object, then one per cone record,
+    each line by its own json.dumps.  The library dumps each distinct
+    placement matrix once and joins the cone lines from those texts; this is
+    the emitter it is checked against."""
+    return [json.dumps({"kind": "zero"}),
+            *map(json.dumps, families),
+            *(json.dumps({"kind": "cone",
+                          "rays": rec.ray_bases,
+                          "flag": "inexhaustive"}) for rec in records)]
 
 
 def reference_enumerate_homs(source: GenMatrix, target_size: int, lattice=None):

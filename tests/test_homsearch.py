@@ -1,7 +1,10 @@
+import hashlib
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 from types import SimpleNamespace
 
 import pytest
@@ -19,7 +22,7 @@ from helpers import (B1, B2, FAN_X, FAN_Y, box_hom_oracle, column_permutations,
                      random_primitive_direction, random_source_with_classes,
                      reference_circuit_table, reference_cone_records, reference_enumerate_homs,
                      reference_expand, reference_expand_cones, reference_geometric_check,
-                     scale_matrix)
+                     reference_json_lines, scale_matrix)
 
 
 def vecs(matrix):
@@ -632,6 +635,20 @@ class TestCircuitTable:
         assert (enum.families, enum.cone_records) == ((), ())
         assert enum.to_json_lines() == ['{"kind": "zero"}']
 
+    def test_source_without_circuits_walks_no_class_set(self, monkeypatch):
+        # five classes in the open positive quadrant admit no circuit, so
+        # no class set needs a visit; the walk would test all 2^5 - 6
+        def refuse(*args, **kwargs):
+            raise AssertionError("class sets walked")
+
+        guarded = SimpleNamespace(**vars(itertools))
+        guarded.combinations = refuse
+        monkeypatch.setattr(homsearch, "itertools", guarded)
+        gm = GenMatrix.from_matrix([(1, 1, 2, 1, 3), (1, 2, 1, 3, 1)])
+        enum = enumerate_homs(gm, 5)
+        assert (enum.families, enum.cone_records, enum.circuits) == ((), (), ())
+        assert enum.expand(3) == {enum.zero_matrix}
+
 
 class TestLayoutTables:
     @pytest.mark.parametrize("shape", [(1,), (3,), (1, 1), (2, 1), (1, 2, 1), (2, 2, 1),
@@ -650,24 +667,14 @@ class TestLayoutTables:
         # the layout tables against the recursive arrangement walk they
         # replaced, with a target lattice on about a third of the draws
         # (records do not depend on it), and X -> full:6
-        rng = random.Random(20261020)
         kinds, sizes = Counter(), Counter()
         planar = many = with_lattice = with_records = 0
-        for i in range(330):
-            if i % 3 == 2:
-                gm, m = many_class_source(rng, rng.randint(4, 7)), rng.randint(3, 5)
-                many += 1
-            else:
-                gm, col_kinds = planar_source(rng) if i % 3 else random_source_with_classes(rng)
-                planar += i % 3 == 1
-                kinds.update(col_kinds)
-                m = rng.randint(1, 6)
+        for gm, m, lattice, kind, col_kinds in arrangement_draws():
+            planar += kind == "planar"
+            many += kind == "many"
+            kinds.update(col_kinds)
             sizes[m] += 1
-            lattice = None
-            if rng.random() < 1 / 3:
-                gens = [random_degree_zero_row(rng, m) for _ in range(rng.randint(1, 2))]
-                lattice = Lattice.from_rows(gens)
-                with_lattice += 1
+            with_lattice += lattice is not None
             records = enumerate_homs(gm, m, lattice).cone_records
             assert records == reference_cone_records(gm, m), (gm, m, lattice)
             with_records += bool(records)
@@ -699,6 +706,110 @@ class TestLayoutTables:
         assert all(runs[0][shape] is not runs[1][shape] for shape in runs[0])
         enum.expand(2)
         assert built and len(dict(built)) == len(built)
+
+
+def reference_lines(monkeypatch, enum):
+    """enum.to_json_lines(), every line written by reference_json_lines."""
+    with monkeypatch.context() as patch:
+        patch.setattr(homsearch, "_json_lines", reference_json_lines)
+        return enum.to_json_lines()
+
+
+def balanced_fan(rng, n, k):
+    """A random balanced fan in R^n with k rays: k - 1 distinct random
+    primitive directions of weight 1, and the ray that balances them."""
+    while True:
+        dirs = [random_primitive_direction(rng, n, bound=2) for _ in range(k - 1)]
+        rest = tuple(-sum(col) for col in zip(*dirs))
+        if any(rest) and len({*dirs, primitive(rest)}) == k:
+            return Fan1D(n, [Ray(d) for d in dirs] + [Ray(rest, gcd(*rest))])
+
+
+# SHA-256 of "\n".join(to_json_lines()), computed with the emitter that
+# dumped every cone record on its own: the golden files hold no cone lines
+PINNED_LINES = {
+    "X->full:5": (lambda: enumerate_homs(genmatrix_x(), 5),
+                  "d14c6c088783d71e81450491522902c0b79e26ef976e5f170ee4b54e0d5df373"),
+    "X->full:6": (lambda: enumerate_homs(genmatrix_x(), 6),
+                  "acf4584b8727ff8080d262a8e2881384da64484247661fd4a0fe7a228c27d790"),
+    "Y->X-lattice:5": (lambda: enumerate_homs(genmatrix_y(), 5,
+                                              Lattice.from_rows(list(genmatrix_x().matrix()))),
+                       "e54d3c67e0090a62dde14614a0c1b7650f4886d509f7eeb67032ed7134821b10"),
+    "morphisms-X-Y": (lambda: enumerate_morphisms(FAN_X, FAN_Y),
+                      "e54d3c67e0090a62dde14614a0c1b7650f4886d509f7eeb67032ed7134821b10"),
+}
+
+
+class TestJsonLines:
+    def test_matches_reference_emitter_on_arrangement_draws(self, monkeypatch):
+        records = 0
+        for gm, m, lattice, _, _ in arrangement_draws():
+            enum = enumerate_homs(gm, m, lattice)
+            assert enum.to_json_lines() == reference_lines(monkeypatch, enum), (gm, m, lattice)
+            records += len(enum.cone_records)
+        assert records >= 100_000
+        enum = enumerate_homs(genmatrix_x(), 6)
+        assert len(enum.cone_records) == 16560
+        assert enum.to_json_lines() == reference_lines(monkeypatch, enum)
+
+    def test_matches_reference_emitter_on_morphisms(self, monkeypatch):
+        # the reference fans, the expand suite's pairs, and seeded balanced
+        # fans in R^2 and R^3 with 3-5 rays
+        rng = random.Random(20261021)
+        pairs = [(FAN_X, FAN_Y), (FAN_Y, FAN_X), (FAN_X, FAN_X), (FAN_Y, FAN_Y)]
+        pairs += [(fan_of(src), fan_of(dst)) for src, dst, _ in EXPAND_MORPHS]
+        for _ in range(60):
+            pairs.append(tuple(balanced_fan(rng, rng.randint(2, 3), rng.randint(3, 5))
+                               for _ in range(2)))
+        with_families = with_records = 0
+        for src, dst in pairs:
+            enum = enumerate_morphisms(src, dst)
+            assert enum.to_json_lines() == reference_lines(monkeypatch, enum), (src, dst)
+            with_families += bool(enum.families)
+            with_records += bool(enum.cone_records)
+        assert with_families >= 30 and with_records >= 40
+
+    def test_dumps_each_placement_matrix_once(self, monkeypatch):
+        # work-counter gate: X -> full:5 prints the zero line, 120 families
+        # and 1,500 cone records whose 3,480 bases are 120 distinct matrices;
+        # dumping every record on its own made 1,621 json.dumps calls
+        enum = enumerate_homs(genmatrix_x(), 5)
+        dumped = []
+        real = json.dumps
+        monkeypatch.setattr(homsearch.json, "dumps",
+                            lambda obj, *args, **kwargs: dumped.append(obj) or real(obj, *args, **kwargs))
+        lines = enum.to_json_lines()
+        assert len(lines) == 1621
+        assert sum(map(len, (rec.ray_bases for rec in enum.cone_records))) == 3480
+        assert len(dumped) <= 1 + 120 + 120
+
+    @pytest.mark.parametrize("case", PINNED_LINES)
+    def test_cone_line_bytes_pinned(self, case):
+        build, digest = PINNED_LINES[case]
+        enum = build()
+        assert enum.cone_records
+        assert hashlib.sha256("\n".join(enum.to_json_lines()).encode()).hexdigest() == digest
+
+
+def arrangement_draws():
+    """The 330 seeded (source, target size, lattice, kind, column kinds)
+    draws of the layout-table differential: random sources with zero,
+    parallel and antiparallel columns, planar sources in R^3 and 4-7
+    classes into 3-5 labels, a target lattice on about a third."""
+    rng = random.Random(20261020)
+    for i in range(330):
+        if i % 3 == 2:
+            gm, m = many_class_source(rng, rng.randint(4, 7)), rng.randint(3, 5)
+            kind, col_kinds = "many", []
+        else:
+            gm, col_kinds = planar_source(rng) if i % 3 else random_source_with_classes(rng)
+            kind = "planar" if i % 3 == 1 else "random"
+            m = rng.randint(1, 6)
+        lattice = None
+        if rng.random() < 1 / 3:
+            gens = [random_degree_zero_row(rng, m) for _ in range(rng.randint(1, 2))]
+            lattice = Lattice.from_rows(gens)
+        yield gm, m, lattice, kind, col_kinds
 
 
 def planar_source(rng):

@@ -9,9 +9,9 @@ import pickle
 import pytest
 
 from tropfan import (Fan1D, GenMatrix, Lattice, Ray, TropPoly, TropVector,
-                     enumerate_homs, enumerate_morphisms)
+                     enumerate_homs, enumerate_morphisms, hom_from_images)
 
-from helpers import FAN_X, FAN_Y, MG_ROWS, genmatrix_x
+from helpers import B1, FAN_X, FAN_Y, MG_ROWS, genmatrix_x
 
 VALUES = {
     "TropVector": TropVector([2, -1, 0]),
@@ -22,11 +22,19 @@ VALUES = {
     "TropPoly": TropPoly(2, [(1, 0), (0, -1)]),
     "TropPoly.zero": TropPoly.zero(2),
     "Lattice": Lattice.from_rows(MG_ROWS),
+    "Hom": hom_from_images([TropVector(row) for row in B1], genmatrix_x()),
 }
 RESULTS = {
     "HomEnumeration": enumerate_homs(genmatrix_x(), 3),
     "MorphismEnumeration": enumerate_morphisms(FAN_X, FAN_Y),
 }
+
+
+def test_homs_from_equal_images_are_equal():
+    images = [TropVector(row) for row in B1]
+    a, b = (hom_from_images(images, genmatrix_x()) for _ in range(2))
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert type(a.witnesses) is tuple
 
 
 @pytest.mark.parametrize("name", [*VALUES, *RESULTS])

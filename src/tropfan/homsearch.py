@@ -24,7 +24,10 @@ expansions walk the class sets that hold a circuit (for expansions, that
 the circuits inside cover), find those circuits once per set, and then walk
 the set's count vectors.  Records are built only for the multisets that
 admit two or more placements, and the members within an entry bound are
-built once each from the bounded kernel points of each multiset.  A
+built once each from the bounded kernel points of each multiset; into a
+target lattice, each layout keeps only the points whose matrix rows
+satisfy the lattice's linear forms (Lattice.forms, laid over the slot
+columns once per call), so only members are built.  A
 multiset is laid over the slots from a table of every layout of its count
 shape, built once per shape and call; a circuit's sorted placements at
 every layout are built once per call for each shape and value indices of
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, prod
-from operator import itemgetter, or_, sub
+from operator import itemgetter, mul, or_, sub
 from typing import Iterable, Optional, Sequence
 
 from .cones import bounded_points, extreme_rays
@@ -153,6 +156,37 @@ def _matrix_from_ray(sigma: Assignment, ray: Sequence[int],
                        for a in sigma]))
 
 
+def _lattice_columns(L: Lattice, class_dirs: dict[int, tuple[int, ...]],
+                     classes: Sequence[int]):
+    """The lattice's forms on a slot column: psi[a][b] holds what slot b,
+    scaled by 1 along class a's direction d, adds to the forms of the matrix
+    rows, as (span, congruence): W[.][b] * d[i] and Q[b][.] * d[i] mod P over
+    the rows i (no congruence entries when P = 1).  Returns (psi, P)."""
+    W, P, Qt = L.forms
+    Qt = Qt if P > 1 else ()
+    return {a: [(tuple(w[b] * e for e in class_dirs[a] for w in W),
+                 tuple(q[b] * e % P for e in class_dirs[a] for q in Qt))
+                for b in range(L.ambient)] for a in classes}, P
+
+
+def _lattice_points(points: list, cols: Sequence, P: int) -> list:
+    """The points k whose matrix rows are lattice members, for one layout
+    whose point entry p scales the slot column cols[p]: each form's
+    k-weighted sum over the columns is zero (span) or divisible by P
+    (congruence)."""
+    for row in zip(*(span for span, _ in cols)):
+        if any(row):
+            points = [k for k in points if not sum(map(mul, row, k))]
+            if not points:
+                return points
+    for row in zip(*(cong for _, cong in cols)):
+        if any(row):
+            points = [k for k in points if not sum(map(mul, row, k)) % P]
+            if not points:
+                return points
+    return points
+
+
 def _layouts(shape: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
     """Every way to lay values with the given counts over m = sum(shape)
     slots, as (value index of each slot, ascending slots of each value)."""
@@ -238,8 +272,10 @@ class HomEnumeration:
         circuit is zero in every nonnegative kernel vector), then per count
         vector over at most m slots, the positive points of one
         cones.bounded_points call are placed at every layout of the multiset
-        over the slots.  The circuits
-        are the enumeration's own, so expanding runs no double description.
+        over the slots.  Into a target lattice, a layout keeps only the
+        points whose matrix rows satisfy the lattice's linear forms (see
+        _lattice_columns), so only members are built.  The circuits are the
+        enumeration's own, so expanding runs no double description.
         MorphismEnumeration.expand_T and the CLI's --expand build on it."""
         entry_bound = exact_int(entry_bound)
         if entry_bound < 0:
@@ -247,10 +283,12 @@ class HomEnumeration:
         n, m, L = self.n, self.target_size, self.target_lattice
         class_dirs = dict(direction_classes(self.source))
         live = sorted({a for labels, _ in self.circuits for a in labels})
+        psi, P = (None, 1) if L is None else _lattice_columns(L, class_dirs, live)
         out = {self.zero_matrix}
         tables: dict[tuple[int, ...], list] = {}
         for vals, shape, _ in _class_multisets(live, self.circuits, m, covered=True):
-            dirs = [class_dirs[a] for a, k in zip(vals, shape) if a is not None for _ in range(k)]
+            classes = [a for a, k in zip(vals, shape) if a is not None for _ in range(k)]
+            dirs = [class_dirs[a] for a in classes]
             N = [[d[i] for d in dirs] for i in range(n)]
             limits = [entry_bound // max(map(abs, d)) for d in dirs]
             points = [k for k in bounded_points(N, limits) if all(k)]
@@ -259,13 +297,15 @@ class HomEnumeration:
             if shape not in tables:
                 tables[shape] = _layouts(shape)
             for key, slots in tables[shape]:
-                sigma = tuple(vals[i] for i in key)
                 at = [b for a, bs in zip(vals, slots) if a is not None for b in bs]
-                for k in points:
+                kept = points if psi is None else _lattice_points(
+                    points, [psi[a][b] for a, b in zip(classes, at)], P)
+                if not kept:
+                    continue
+                sigma = tuple(vals[i] for i in key)
+                for k in kept:
                     ray = [t for _, t in sorted(zip(at, k))]
-                    M = _matrix_from_ray(sigma, ray, class_dirs, n)
-                    if L is None or all(row in L for row in M):
-                        out.add(M)
+                    out.add(_matrix_from_ray(sigma, ray, class_dirs, n))
         return out
 
     def to_json_lines(self) -> list[str]:

@@ -4,12 +4,23 @@ All matrices are lists/tuples of equal-length int rows.  The Hermite form used
 throughout is the row style: row echelon, positive pivots, and every entry
 above a pivot reduced into [0, pivot).  That form is the unique canonical
 basis of the row lattice, so lattices compare by structural equality.
+
+A Lattice answers membership with linear forms computed once per lattice:
+an integer basis W of the span's orthogonal complement, the product P of
+the basis pivots, and Q, P times the inverse of the pivot submatrix.  A
+vector v is a member exactly when W v = 0 and P divides every entry of
+v Q; its coefficients are v Q / P, and its least multiplier into the
+lattice is P / gcd(P, v Q).  HomEnumeration.expand reads the same forms to
+keep only the kernel points whose matrices are members.  solve_int reduces
+its targets against the HNF row by row instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Optional, Sequence
 
 from .maxplus import exact_int
@@ -130,56 +141,90 @@ def _reduce_against(H: IntMatrix, v: Sequence[int]):
 
 @dataclass(frozen=True, repr=False)
 class Lattice:
-    """A subgroup of Z^m stored by its canonical row-HNF basis."""
+    """A subgroup of Z^m stored by its canonical row-HNF basis.
+
+    The constructor brings any generating rows of the right length to that
+    basis, so equal lattices compare equal however they were given.
+    Membership reads the linear forms of the forms property, computed once
+    per lattice and cached outside the fields, so they take no part in ==,
+    hash or dataclasses.replace.
+    """
 
     ambient: int
     basis: IntMatrix
 
+    def __post_init__(self):
+        ambient = exact_int(self.ambient)
+        if ambient < 0:
+            raise ValueError("ambient dimension must be nonnegative")
+        rows = _as_matrix(self.basis)
+        if any(len(row) != ambient for row in rows):
+            raise ValueError("generator length disagrees with ambient dimension")
+        H, _ = hnf(rows)
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "basis", tuple(row for row in H if any(row)))
+
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], ambient: int | None = None) -> "Lattice":
-        rows = _as_matrix(rows)
+        rows = tuple(map(tuple, rows))
         if ambient is None:
             if not rows:
                 raise ValueError("ambient dimension needed for an empty generator list")
             ambient = len(rows[0])
-        ambient = exact_int(ambient)
-        if rows and len(rows[0]) != ambient:
-            raise ValueError("generator length disagrees with ambient dimension")
-        H, _ = hnf(rows)
-        basis = tuple(row for row in H if any(row))
-        return cls(ambient, basis)
+        return cls(ambient, rows)
 
     @property
     def rank(self) -> int:
         return len(self.basis)
 
-    def member(self, v: Sequence[int]) -> Optional[tuple[int, ...]]:
-        """Coefficients c with c . basis = v, or None if v is not in the lattice."""
+    @cached_property
+    def forms(self) -> tuple[IntMatrix, int, IntMatrix]:
+        """(W, P, Qt): v is in the lattice exactly when W v = 0 and P
+        divides every entry of Qt v, and then Qt v / P are its coefficients.
+
+        The rows of W are an integer basis of the span's orthogonal
+        complement: the rows of the unimodular transform that the HNF of the
+        transposed basis sends to zero.  P is the product of the pivots, and
+        Qt is P times the inverse of the pivot submatrix, transposed, with
+        zeros off the pivot columns: column j holds the forward substitution
+        of P e_j, which is exact because the inverse's denominators divide P.
+        """
+        H, m = self.basis, self.ambient
+        _, U = hnf([[row[j] for row in H] for j in range(m)])
+        P = prod(H[i][j] for i, j in _pivots(H))
+        Qt = zip(*(_reduce_against(H, [P * (i == j) for i in range(m)])[0] for j in range(m)))
+        return U[self.rank:], P, tuple(Qt)
+
+    def _vector(self, v: Sequence[int]) -> list[int]:
         if len(v) != self.ambient:
             raise ValueError("vector length disagrees with ambient dimension")
-        coeffs, residue = _reduce_against(self.basis, v)
-        if coeffs is None or any(residue):
+        return [exact_int(e) for e in v]
+
+    def member(self, v: Sequence[int]) -> Optional[tuple[int, ...]]:
+        """Coefficients c with c . basis = v, or None if v is not in the lattice."""
+        v = self._vector(v)
+        W, P, Qt = self.forms
+        if any(sum(map(mul, w, v)) for w in W):
             return None
-        return tuple(coeffs)
+        coeffs = [sum(map(mul, q, v)) for q in Qt]
+        if any(c % P for c in coeffs):
+            return None
+        return tuple(c // P for c in coeffs)
 
     def __contains__(self, v) -> bool:
         return self.member(v) is not None
 
     def least_multiplier(self, v: Sequence[int]) -> int:
-        """Least positive s with s*v in the lattice.
+        """Least positive s with s*v in the lattice: P / gcd(P, Qt v).
 
         Raises LatticeSpanError when v is outside the rational span (no such
         s exists).  The set of all valid s is exactly (result)*Z.
         """
-        if len(v) != self.ambient:
-            raise ValueError("vector length disagrees with ambient dimension")
-        # the rational coefficients of v have denominators dividing the
-        # product P of the pivots, so P*v reduces exactly to P times them
-        P = prod(self.basis[i][j] for i, j in _pivots(self.basis))
-        coeffs, residue = _reduce_against(self.basis, [P * exact_int(e) for e in v])
-        if any(residue):
+        v = self._vector(v)
+        W, P, Qt = self.forms
+        if any(sum(map(mul, w, v)) for w in W):
             raise LatticeSpanError("vector is outside the rational span of the lattice")
-        return P // gcd(P, *coeffs)
+        return P // gcd(P, *(sum(map(mul, q, v)) for q in Qt))
 
     def __repr__(self) -> str:
         return f"Lattice(ambient={self.ambient}, basis={[list(r) for r in self.basis]})"

@@ -80,6 +80,56 @@ def random_primitive_direction(rng, n, bound=4):
             return primitive(v)
 
 
+def _reference_reduce(basis, v):
+    """Forward-substitute the integer vector v against the echelon basis:
+    (coefficients, residue), or (None, v so far) when a pivot fails to
+    divide the entry it meets."""
+    vv = list(v)
+    coeffs = []
+    for row in basis:
+        j = next(j for j, e in enumerate(row) if e)
+        if vv[j] % row[j]:
+            return None, vv
+        q = vv[j] // row[j]
+        vv = [e - q * f for e, f in zip(vv, row)]
+        coeffs.append(q)
+    return coeffs, vv
+
+
+def _reference_vector(lattice, v):
+    from tropfan.maxplus import exact_int
+
+    if len(v) != lattice.ambient:
+        raise ValueError("vector length disagrees with ambient dimension")
+    return [exact_int(e) for e in v]
+
+
+def reference_member(lattice, v):
+    """Lattice.member by forward substitution against the HNF basis: the
+    coefficients c with c . basis = v, or None.  The reduction that the
+    lattice's linear forms replaced; kept as the membership oracle."""
+    coeffs, residue = _reference_reduce(lattice.basis, _reference_vector(lattice, v))
+    if coeffs is None or any(residue):
+        return None
+    return tuple(coeffs)
+
+
+def reference_least_multiplier(lattice, v):
+    """Lattice.least_multiplier by reduction: the rational coefficients of
+    v have denominators dividing the product P of the pivots, so P * v
+    reduces exactly to P times them, and the least multiplier is
+    P / gcd(P, those).  LatticeSpanError when a residue is left."""
+    from math import gcd, prod
+    from tropfan import LatticeSpanError
+
+    P = prod(next(e for e in row if e) for row in lattice.basis)
+    coeffs, residue = _reference_reduce(lattice.basis,
+                                        [P * e for e in _reference_vector(lattice, v)])
+    if any(residue):
+        raise LatticeSpanError("vector is outside the rational span of the lattice")
+    return P // gcd(P, *coeffs)
+
+
 def box_hom_oracle(source: GenMatrix, target_size: int, lattice, bound: int):
     """Independent enumeration of every integer matrix with entries in
     [-bound, bound] whose rows sum to zero, whose columns are nonnegative
@@ -108,7 +158,8 @@ def box_hom_oracle(source: GenMatrix, target_size: int, lattice, bound: int):
         M = tuple(tuple(c[i] for c in cols) for i in range(source.n))
         if any(sum(row) for row in M):
             continue
-        if lattice is not None and not all(row in lattice for row in M):
+        if lattice is not None and not all(reference_member(lattice, row) is not None
+                                               for row in M):
             continue
         out.add(M)
     return out
@@ -352,7 +403,8 @@ def reference_enumerate_homs(source: GenMatrix, target_size: int, lattice=None):
     import itertools
     from tropfan import HomEnumeration, homsearch
     from tropfan.fan import direction_classes
-    from tropfan.lattice import LatticeSpanError, scalar_modulus
+    from math import lcm
+    from tropfan.lattice import LatticeSpanError
 
     n = source.n
     reps = direction_classes(source)
@@ -370,7 +422,7 @@ def reference_enumerate_homs(source: GenMatrix, target_size: int, lattice=None):
             modulus = 1
             if lattice is not None:
                 try:
-                    modulus = scalar_modulus(M0, lattice)
+                    modulus = lcm(*(reference_least_multiplier(lattice, row) for row in M0))
                 except LatticeSpanError:
                     continue
             cols = list(zip(*M0))
@@ -402,7 +454,7 @@ def reference_expand_cones(enum, bound):
             if any(sum(row) for row in M):
                 continue
             if enum.target_lattice is not None and not all(
-                    row in enum.target_lattice for row in M):
+                    reference_member(enum.target_lattice, row) is not None for row in M):
                 continue
             out.add(M)
     out.discard(enum.zero_matrix)

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from tropfan import (Fan1D, GenMatrix, Lattice, NotGeometricError, Ray,
+from tropfan import (Fan1D, GenMatrix, Lattice, LatticeSpanError, NotGeometricError, Ray,
                      TropPoly, TropVector, apply_functor, enumerate_homs,
                      enumerate_morphisms, geometric_check, hom_from_images,
                      parse_poly, recover_T, separating_pair, substitute_units,
@@ -22,7 +22,8 @@ from helpers import (B1, B2, FAN_X, FAN_Y, box_hom_oracle, column_permutations,
                      random_primitive_direction, random_source_with_classes,
                      reference_circuit_table, reference_cone_records, reference_enumerate_homs,
                      reference_expand, reference_expand_cones, reference_geometric_check,
-                     reference_json_lines, scale_matrix)
+                     reference_json_lines, reference_least_multiplier, reference_member,
+                     scale_matrix)
 
 
 def vecs(matrix):
@@ -235,11 +236,12 @@ class TestEnumerateWithLattice:
         for fam in enum.families:
             for s in (fam.modulus, 2 * fam.modulus, 3 * fam.modulus):
                 M = fam.matrix_for(s)
-                assert all(row in L for row in M)
+                assert all(reference_member(L, row) is not None for row in M)
                 assert all(sum(row) == 0 for row in M)
                 assert geometric_check(vecs(M), genmatrix_x()) is not None
             for s in range(1, fam.modulus):
-                assert not all(row in L for row in scale_matrix(fam.base, s))
+                assert not all(reference_member(L, row) is not None
+                               for row in scale_matrix(fam.base, s))
 
     def test_span_infeasible_family_dropped(self):
         # the only candidate base has rows outside the lattice's rational
@@ -423,7 +425,7 @@ class TestEnumerateMorphisms:
             M = tuple(v.entries for v in images)
             if all(sum(row) == 0 for row in M) and \
                     geometric_check(list(images), gm) is not None and \
-                    all(row in L for row in M):
+                    all(reference_member(L, row) is not None for row in M):
                 valid.add(k)
         expanded = {0}
         for fam in enum.families:
@@ -870,6 +872,39 @@ EXPAND_MORPHS = [
 ]
 
 
+# Homomorphisms into a target fan's lattice from the expand benchmark suite:
+# (source, target, labels, bound); the target lattice has rank 2 of 4 in
+# the first and rank 3 of 4 in the second.
+EXPAND_ONCE_HOMS = {
+    "span-fails": ([((1, -1), 1), ((-1, 0), 2), ((-1, -1), 1), ((1, 1), 2)],
+                   [((0, -1), 2), ((-2, 3), 2), ((1, -2), 2), ((1, 0), 2)], 4, 2),
+    "congruence-fails": ([((1, 2), 1), ((0, -1), 2), ((-1, 0), 1)],
+                         [((-1, 2, -1), 1), ((0, -2, -1), 2), ((1, -1, 0), 1), ((0, 1, 1), 3)],
+                         4, 4),
+}
+
+
+def _expand_into_lattice(case):
+    src, tgt, m, bound = EXPAND_ONCE_HOMS[case]
+    lattice = Lattice.from_rows(weighted_eval_map(fan_of(tgt)).matrix())
+    return enumerate_homs(weighted_eval_map(fan_of(src)), m, lattice).expand, bound
+
+
+# (expansion, bound) builders of the expansions whose matrix builds are counted
+EXPAND_ONCE = {
+    "X": lambda: (enumerate_homs(genmatrix_x(), 5).expand, 3),
+    "antiparallel-pairs": lambda: (enumerate_homs(
+        GenMatrix.from_matrix([(1, 0, -1, 0), (0, 1, 0, -1)]), 5).expand, 2),
+    "planar-five": lambda: (enumerate_homs(
+        GenMatrix.from_matrix([(1, -1, 1, 2, 1), (0, 0, 1, 1, 2)]), 5).expand, 2),
+    "span-fails": lambda: _expand_into_lattice("span-fails"),
+    "congruence-fails": lambda: _expand_into_lattice("congruence-fails"),
+    "morphisms": lambda: (enumerate_morphisms(fan_of(EXPAND_MORPHS[0][0]),
+                                              fan_of(EXPAND_MORPHS[0][1])).expand_T,
+                          EXPAND_MORPHS[0][2]),
+}
+
+
 class TestKernelExpansion:
     def test_expand_matches_box_reference(self):
         # the bound is lowered only where the reference's box would exceed
@@ -927,30 +962,48 @@ class TestKernelExpansion:
         assert cone_members
 
     def test_candidate_count_gate(self, monkeypatch):
-        # work-counter gate: Y -> 5 labels into the X lattice at bound 4
-        # builds 157,500 candidate matrices by a search over the whole box
-        # and 1,830 by solving the kernel of every cone record; solving it
-        # once per class multiset leaves a few hundred, which the lattice
-        # filter cuts to the 4 nonzero members
+        # work-counter gate: Y -> 5 labels into the X lattice builds only
+        # members; at bound 4 a search over the whole box built 157,500
+        # candidate matrices, solving the kernel of every cone record 1,830,
+        # and testing each built matrix against the lattice 300 (1,460 at
+        # bound 6)
         enum = enumerate_homs(genmatrix_y(), 5, Lattice.from_rows(list(genmatrix_x().matrix())))
         built = count_calls(monkeypatch, "_matrix_from_ray")
-        members = enum.expand(4)
-        assert len(built) <= 400
-        assert len(members) == 5
+        for bound, nonzero in ((4, 4), (6, 8)):
+            built.clear()
+            members = enum.expand(bound)
+            assert len(members) == nonzero + 1
+            assert len(built) == len(members) - 1
 
-    @pytest.mark.parametrize("rows, bound", [
-        (genmatrix_x().matrix(), 3),
-        ([(1, 0, -1, 0), (0, 1, 0, -1)], 2),
-        ([(1, -1, 1, 2, 1), (0, 0, 1, 1, 2)], 2),
-    ], ids=["X", "antiparallel-pairs", "planar-five"])
-    def test_expand_builds_each_member_once(self, monkeypatch, rows, bound):
-        # into a full target every candidate is a member, and no member is
-        # built twice: the record-based expansion built 9,580, 18,360 and
-        # 10,690 candidates here
-        enum = enumerate_homs(GenMatrix.from_matrix(rows), 5)
+    @pytest.mark.parametrize("case", EXPAND_ONCE)
+    def test_expand_builds_each_member_once(self, monkeypatch, case):
+        # no candidate is built twice, and into a target lattice none is
+        # built outside it: the record-based expansion built 9,580, 18,360
+        # and 10,690 candidates for the full targets here, and testing each
+        # built matrix against the lattice built every full-target member
+        expand, bound = EXPAND_ONCE[case]()
         built = count_calls(monkeypatch, "_matrix_from_ray")
-        members = enum.expand(bound)
+        members = expand(bound)
         assert len(built) == len(members) - 1
+
+    @pytest.mark.parametrize("case, span, congruence", [("span-fails", 148, 6),
+                                                        ("congruence-fails", 0, 108)])
+    def test_lattice_cases_reject_full_target_members(self, case, span, congruence):
+        # the lattice cases above are chosen so that the full target has
+        # members whose rows leave the lattice's span (rank 2 of 4), or
+        # members whose rows all stay in the span but leave the lattice by
+        # a congruence (rank 3 of 4)
+        src, tgt, m, bound = EXPAND_ONCE_HOMS[case]
+        lattice = Lattice.from_rows(weighted_eval_map(fan_of(tgt)).matrix())
+        outside = Counter()
+        for M in enumerate_homs(weighted_eval_map(fan_of(src)), m).expand(bound):
+            try:
+                mults = [reference_least_multiplier(lattice, row) for row in M]
+            except LatticeSpanError:
+                outside["span"] += 1
+            else:
+                outside["congruence"] += max(mults) > 1
+        assert (outside["span"], outside["congruence"]) == (span, congruence)
 
     def test_source_without_circuits_solves_no_kernel(self, monkeypatch):
         # every column lies in the open positive quadrant, so no class lies

@@ -7,8 +7,9 @@ import pytest
 
 from tropfan import (Lattice, LatticeSolveError, LatticeSpanError, hnf,
                      scalar_modulus, solve_int, xgcd)
+from tropfan import lattice as lattice_module
 
-from helpers import MG_ROWS
+from helpers import MG_ROWS, reference_least_multiplier, reference_member
 
 
 def det(M):
@@ -108,6 +109,97 @@ def test_hnf_unique_across_row_shuffles():
             rng.shuffle(M)
             seen.add(hnf(M)[0])
         assert len(seen) == 1
+
+
+def test_constructor_canonicalises_basis():
+    # a basis not in HNF was stored as given: (0, 1) was not found in this
+    # Z^2, and the lattice compared unequal to the same one from from_rows
+    L = Lattice(2, ((1, 1), (1, 0)))
+    assert (0, 1) in L and L.member((0, 1)) == (0, 1)
+    assert L == Lattice.from_rows([(1, 1), (1, 0)]) and L.basis == ((1, 0), (0, 1))
+    assert hash(L) == hash(Lattice.from_rows([(1, 1), (1, 0)]))
+    M = Lattice(3, [[0, 4, -4], [1, -2, 1], [2, 0, -2]])
+    assert M == Lattice.from_rows(MG_ROWS) and M.basis == ((1, 2, -3), (0, 4, -4))
+    assert Lattice(2, [(0, 0)]).basis == ()
+
+
+@pytest.mark.parametrize("ambient, rows", [
+    (2, ((1, 0, 0),)),
+    (3, ((1, 0),)),
+    (2, ((1, 0), (1,))),
+    (0, ((1,),)),
+    (-1, ()),
+], ids=["long", "short", "ragged", "ambient-0", "negative-ambient"])
+def test_constructor_refuses_bad_rows(ambient, rows):
+    with pytest.raises(ValueError):
+        Lattice(ambient, rows)
+    if ambient >= 0:
+        with pytest.raises(ValueError):
+            Lattice.from_rows(rows, ambient)
+
+
+def test_from_rows_runs_hnf_once(monkeypatch):
+    calls = []
+    real = lattice_module.hnf
+    monkeypatch.setattr(lattice_module, "hnf", lambda rows: calls.append(rows) or real(rows))
+    L = Lattice.from_rows(MG_ROWS)
+    assert len(calls) == 1
+    assert (0, 4, -4) in L and (1, 0, -1) not in L
+    assert len(calls) == 2  # the first membership question computes the forms
+    L.least_multiplier((1, 0, -1))
+    assert len(calls) == 2
+
+
+def test_forms_examples():
+    W, P, Qt = Lattice.from_rows(MG_ROWS).forms
+    assert W == ((1, 1, 1),) and P == 4 and Qt == ((4, 0, 0), (-2, 1, 0))
+    assert Lattice.from_rows([(0, 0)], ambient=2).forms == (((1, 0), (0, 1)), 1, ())
+    assert Lattice.from_rows([(2, 0), (0, 3)]).forms == ((), 6, ((3, 0), (0, 2)))
+
+
+def test_member_and_least_multiplier_match_reduction():
+    # differential against the reduction the forms replaced: seeded
+    # lattices of every rank in ambient 1-6, some rows scaled to raise the
+    # index, and vectors inside the lattice, inside the span only, and
+    # outside it
+    rng = random.Random(20261019)
+    ranks, verdicts = set(), {"member": 0, "none": 0, "span": 0, "multiplier>1": 0}
+    lattices = 0
+    while lattices < 600:
+        m = rng.randint(1, 6)
+        rows = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(rng.randint(0, m))]
+        for row in rows:
+            if rng.random() < 0.4:
+                s = rng.randint(2, 5)
+                row[:] = [s * e for e in row]
+        L = Lattice.from_rows(rows, m)
+        lattices += 1
+        ranks.add((m, L.rank))
+        tests = [tuple(rng.randint(-6, 6) for _ in range(m)) for _ in range(3)]
+        for _ in range(4):
+            combo = [sum(rng.randint(-3, 3) * row[j] for row in L.basis) for j in range(m)]
+            g = math.gcd(*combo) or 1
+            tests += [tuple(combo), tuple(e // g for e in combo)]
+        for v in tests:
+            c = L.member(v)
+            assert c == reference_member(L, v), (L, v)
+            if c is None:
+                verdicts["none"] += 1
+            else:
+                verdicts["member"] += 1
+                assert tuple(sum(ci * row[j] for ci, row in zip(c, L.basis))
+                             for j in range(m)) == v
+            try:
+                expected = reference_least_multiplier(L, v)
+            except LatticeSpanError:
+                verdicts["span"] += 1
+                with pytest.raises(LatticeSpanError):
+                    L.least_multiplier(v)
+                continue
+            assert L.least_multiplier(v) == expected, (L, v)
+            verdicts["multiplier>1"] += expected > 1
+    assert ranks == {(m, r) for m in range(1, 7) for r in range(m + 1)}
+    assert min(verdicts.values()) >= 300, verdicts
 
 
 def test_member_examples():

@@ -48,3 +48,19 @@ def test_copy_pickle_and_frozen_fields(name):
     for attr in (dataclasses.fields(value)[0].name, "unknown"):
         with pytest.raises(AttributeError):
             setattr(value, attr, None)
+
+
+def test_lattice_with_cached_forms_keeps_value_semantics():
+    # the forms are cached beside the fields: computing them changes
+    # neither equality nor hash, and every copy answers as the original
+    fresh, used = Lattice.from_rows(MG_ROWS), Lattice.from_rows(MG_ROWS)
+    assert (0, 4, -4) in used and "forms" in vars(used) and "forms" not in vars(fresh)
+    assert "forms" not in {f.name for f in dataclasses.fields(Lattice)}
+    assert used == fresh and hash(used) == hash(fresh)
+    for twin in (copy.copy(used), copy.deepcopy(used), pickle.loads(pickle.dumps(used)),
+                 dataclasses.replace(used), dataclasses.replace(used, basis=((1, -2, 1), (1, 2, -3)))):
+        assert type(twin) is Lattice and twin == used == fresh
+        assert hash(twin) == hash(used)
+        assert twin.forms == used.forms
+        assert twin.member((0, 4, -4)) == (0, 1) and (1, 0, -1) not in twin
+        assert twin.least_multiplier((1, 0, -1)) == 2

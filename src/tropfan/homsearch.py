@@ -15,24 +15,18 @@ classes at once, so one double description per enumeration finds them,
 and its expansions reuse them; it never combines two rays whose joint
 support has more classes than the target has labels.  A placement alone
 spans a one-dimensional cone, packaged as a one-parameter family: a
-primitive base matrix together with the scalar modulus forced by the
-target lattice.  Patterns admitting two or more placements span cones of
-dimension two or more; they are reported verbatim as cone records and
-flag the result inexhaustive.  No step
-iterates all (classes + 1)^m patterns or all class multisets: records and
-expansions walk the class sets that hold a circuit (for expansions, that
-the circuits inside cover), find those circuits once per set, and then walk
-the set's count vectors.  Records are built only for the multisets that
-admit two or more placements, and the members within an entry bound are
-built once each from the bounded kernel points of each multiset; into a
-target lattice, each layout keeps only the points whose matrix rows
-satisfy the lattice's linear forms (Lattice.forms, laid over the slot
-columns once per call), so only members are built.  A
-multiset is laid over the slots from a table of every layout of its count
-shape, built once per shape and call; a circuit's sorted placements at
-every layout are built once per call for each shape and value indices of
-its classes, and records share them.  The JSON lines dump each distinct
-placement matrix once and join the cone lines from those texts.
+primitive base matrix, laid from its circuit's scaled class directions,
+with the modulus that the target lattice's forms (Lattice.forms) give on
+the placed columns.  Patterns admitting two or more placements span cones
+of dimension two or more, reported as cone records that flag the result
+inexhaustive.  No step iterates all (classes + 1)^m patterns or all class
+multisets: records and expansions walk the class sets that hold a circuit
+(for expansions, that the circuits inside cover), then the set's count
+vectors, and lay each multiset from one table of layouts per count shape.
+Records share each circuit's sorted placements, and the JSON lines dump
+each distinct placement matrix once.  An expansion solves one bounded
+kernel per class set, over the class totals, spreads the totals over the
+slots, and keeps the points whose rows meet a target lattice's forms.
 """
 
 from __future__ import annotations
@@ -42,7 +36,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, cached_property, reduce
 from math import gcd, prod
 from operator import itemgetter, mul, or_, sub
 from typing import Iterable, Optional, Sequence
@@ -50,7 +44,7 @@ from typing import Iterable, Optional, Sequence
 from .cones import bounded_points, extreme_rays
 from .fan import (Fan1D, GenMatrix, check_balancing, direction_classes, primitive,
                   weighted_eval_map)
-from .lattice import Lattice, LatticeSpanError, scalar_modulus, solve_int
+from .lattice import Lattice, hnf, solve_int
 from .maxplus import TropVector, exact_int
 from .tropoly import TropPoly, substitute_units
 
@@ -61,10 +55,6 @@ Circuit = tuple[tuple[int, ...], tuple[int, ...]]  # (class labels, coefficients
 
 class NotGeometricError(ValueError):
     """Images admit no homomorphism: some column matches no source column."""
-
-
-def _matrix_gcd(M: IntMatrix) -> int:
-    return gcd(*(e for row in M for e in row))
 
 
 def _scale_matrix(M: IntMatrix, s: int) -> IntMatrix:
@@ -156,6 +146,14 @@ def _matrix_from_ray(sigma: Assignment, ray: Sequence[int],
                        for a in sigma]))
 
 
+def _place(template: Sequence[tuple[int, ...]], positions: Sequence[int], m: int) -> IntMatrix:
+    """The matrix whose column positions[j] is template[j], zero elsewhere."""
+    cols = [(0,) * len(template[0])] * m
+    for b, col in zip(positions, template):
+        cols[b] = col
+    return tuple(zip(*cols))
+
+
 def _lattice_columns(L: Lattice, class_dirs: dict[int, tuple[int, ...]],
                      classes: Sequence[int]):
     """The lattice's forms on a slot column: psi[a][b] holds what slot b,
@@ -203,6 +201,15 @@ def _layouts(shape: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[tuple[
                 key[b] = i
         out.append((tuple(key), w))
     return out
+
+
+def _compositions(total: int, count: int, limit: int) -> list[tuple[int, ...]]:
+    """The ordered ways to write total as count parts, each in [1, limit]."""
+    if count == 1:
+        return [(total,)] if 1 <= total <= limit else []
+    return [(k,) + rest for k in range(max(1, total - (count - 1) * limit),
+                                       min(limit, total - count + 1) + 1)
+            for rest in _compositions(total - k, count - 1, limit)]
 
 
 def _class_multisets(classes: Sequence[int], circuits: Sequence[Circuit], m: int,
@@ -268,15 +275,13 @@ class HomEnumeration:
         A nonzero member scales each slot b of its support by some k_b >= 1
         along its class direction d_b, with sum_b k_b d_b = 0, and class
         directions are primitive and distinct, so each member is built once:
-        per class set covered by the circuits inside it (a class in no such
-        circuit is zero in every nonnegative kernel vector), then per count
-        vector over at most m slots, the positive points of one
-        cones.bounded_points call are placed at every layout of the multiset
-        over the slots.  Into a target lattice, a layout keeps only the
-        points whose matrix rows satisfy the lattice's linear forms (see
-        _lattice_columns), so only members are built.  The circuits are the
-        enumeration's own, so expanding runs no double description.
-        MorphismEnumeration.expand_T and the CLI's --expand build on it."""
+        per class set S covered by the circuits inside it (a class in no such
+        circuit is zero in every nonnegative kernel vector), one bounded_points
+        call finds the class totals T_a (the sum of k_b over class a's slots)
+        with sum_a T_a d_a = 0 and T_a in [1, (m - |S| + 1) * limit_a],
+        limit_a = entry_bound // max|d_a|; per count vector c over at most m
+        slots, each T_a is spread into c_a ordered parts in [1, limit_a],
+        placed at every layout, and kept if its rows meet the lattice's forms."""
         entry_bound = exact_int(entry_bound)
         if entry_bound < 0:
             raise ValueError("entry bound must be nonnegative")
@@ -284,19 +289,22 @@ class HomEnumeration:
         class_dirs = dict(direction_classes(self.source))
         live = sorted({a for labels, _ in self.circuits for a in labels})
         psi, P = (None, 1) if L is None else _lattice_columns(L, class_dirs, live)
+        limit = {a: entry_bound // max(map(abs, class_dirs[a])) for a in live}
+        spread, layouts = cache(_compositions), cache(_layouts)  # built once per call
+        totals: dict[tuple[int, ...], list] = {}  # class set -> positive class totals
         out = {self.zero_matrix}
-        tables: dict[tuple[int, ...], list] = {}
         for vals, shape, _ in _class_multisets(live, self.circuits, m, covered=True):
-            classes = [a for a, k in zip(vals, shape) if a is not None for _ in range(k)]
-            dirs = [class_dirs[a] for a in classes]
-            N = [[d[i] for d in dirs] for i in range(n)]
-            limits = [entry_bound // max(map(abs, d)) for d in dirs]
-            points = [k for k in bounded_points(N, limits) if all(k)]
+            S, counts = (vals[1:], shape[1:]) if vals[0] is None else (vals, shape)
+            if S not in totals:
+                N = [[class_dirs[a][i] for a in S] for i in range(n)]
+                box = [(m - len(S) + 1) * limit[a] for a in S]
+                totals[S] = [T for T in bounded_points(N, box) if all(T)]
+            points = [sum(parts, ()) for T in totals[S] for parts in
+                      itertools.product(*map(spread, T, counts, map(limit.get, S)))]
             if not points:
                 continue
-            if shape not in tables:
-                tables[shape] = _layouts(shape)
-            for key, slots in tables[shape]:
+            classes = [a for a, k in zip(S, counts) for _ in range(k)]
+            for key, slots in layouts(shape):
                 at = [b for a, bs in zip(vals, slots) if a is not None for b in bs]
                 kept = points if psi is None else _lattice_points(
                     points, [psi[a][b] for a, b in zip(classes, at)], P)
@@ -345,8 +353,8 @@ def enumerate_homs(source: GenMatrix, target_size: int,
 
     The positive circuits of the direction classes are computed once and
     kept on the result as circuits, which expand reads.  Each injective
-    placement of a circuit into the target labels is one family (dropped
-    when no multiple of it meets the target lattice).  An
+    placement of a circuit into the target labels is one family (its modulus,
+    or its drop off the lattice's span, read from the lattice's forms).  An
     assignment's scaling cone is spanned by the placements it admits, and
     their number depends only on how many labels the assignment gives each
     class.  So cone records walk the class sets holding a circuit, then each
@@ -365,24 +373,25 @@ def enumerate_homs(source: GenMatrix, target_size: int,
     class_dirs = dict(reps)
     circuits = _circuit_table(reps, n, target_size)
 
+    psi, P = (None, 1) if target_lattice is None else _lattice_columns(
+        target_lattice, class_dirs, sorted({a for labels, _ in circuits for a in labels}))
     placed: list[dict[tuple[int, ...], IntMatrix]] = []
     families: list[HomFamily] = []
     for labels, coeffs in circuits:
+        template = [tuple(t * e for e in class_dirs[a]) for a, t in zip(labels, coeffs)]
+        assert gcd(*itertools.chain(*template)) == 1  # primitive ray => primitive matrices
         placed.append({})
         for positions in itertools.permutations(range(target_size), len(labels)):
+            M0 = placed[-1][positions] = _place(template, positions, target_size)
+            modulus = 1
+            if psi is not None:
+                cols = [psi[a][b] for a, b in zip(labels, positions)]
+                if any(sum(map(mul, coeffs, row)) for row in zip(*(span for span, _ in cols))):
+                    continue  # a row leaves the lattice's span at every scale
+                modulus = P // gcd(P, *(sum(map(mul, coeffs, row))
+                                        for row in zip(*(cong for _, cong in cols))))
             at = dict(zip(positions, labels))
-            sigma = tuple(map(at.get, range(target_size)))
-            ray = [t for _, t in sorted(zip(positions, coeffs))]
-            M0 = placed[-1][positions] = _matrix_from_ray(sigma, ray, class_dirs, n)
-            assert _matrix_gcd(M0) == 1  # primitive ray => primitive matrix
-            if target_lattice is None:
-                modulus = 1
-            else:
-                try:
-                    modulus = scalar_modulus(M0, target_lattice)
-                except LatticeSpanError:
-                    continue
-            families.append(HomFamily(sigma, M0, modulus))
+            families.append(HomFamily(tuple(map(at.get, range(target_size))), M0, modulus))
 
     keyed: list[tuple[tuple[int, ...], ConeRecord]] = []
     tables: dict[tuple[int, ...], list] = {}  # shape -> (key getter, slots) per layout
@@ -516,15 +525,18 @@ class MorphismEnumeration:
     def inexhaustive(self) -> bool:
         return self.homs.inexhaustive
 
+    @cached_property
+    def _transform(self) -> IntMatrix:
+        """U with U * (target generator rows) = their HNF (enumerate_morphisms')."""
+        return hnf(self.target_gens.matrix())[1]
+
     def expand_T(self, entry_bound: int) -> set[IntMatrix]:
         """The morphism matrices T, the zero map included, whose image
         matrix T * (target generator rows) has every entry in
         [-entry_bound, entry_bound]: the members of homs.expand, rewritten
-        in generator coordinates by one canonical integer solve."""
-        images = list(self.homs.expand(entry_bound))
-        T = solve_int(self.target_gens.matrix(), [row for M in images for row in M])
-        n = self.homs.n
-        return {T[i:i + n] for i in range(0, len(T), n)}
+        in generator coordinates by the canonical integer solve."""
+        L = self.homs.target_lattice
+        return {_gen_coords(L, self._transform, M) for M in self.homs.expand(entry_bound)}
 
     def to_json_lines(self) -> list[str]:
         return _json_lines(({"kind": "family",
@@ -549,11 +561,19 @@ def enumerate_morphisms(from_fan: Fan1D, to_fan: Fan1D) -> MorphismEnumeration:
                           "on its generator matrix", stacklevel=2)
     MF = weighted_eval_map(to_fan)
     MG = weighted_eval_map(from_fan)
-    lattice = Lattice.from_rows(MG.matrix())
+    H, U = hnf(MG.matrix())  # the one HNF of MG: the lattice's basis and the solve's transform
+    lattice = Lattice(from_fan.n_rays, H)
     enum = enumerate_homs(MF, from_fan.n_rays, lattice)
-    # one HNF serves every family: solve_int reduces each stacked row alone
-    T = solve_int(MG.matrix(), [row for fam in enum.families for row in fam.minimal_member])
-    n = MF.n
-    fams = sorted((MorphismFamily(fam.assignment, T[i * n:(i + 1) * n])
-                   for i, fam in enumerate(enum.families)), key=MorphismFamily.sort_key)
-    return MorphismEnumeration(enum, MG, tuple(fams))
+    fams = sorted((MorphismFamily(fam.assignment, _gen_coords(lattice, U, fam.minimal_member))
+                   for fam in enum.families), key=MorphismFamily.sort_key)
+    out = MorphismEnumeration(enum, MG, tuple(fams))
+    vars(out)["_transform"] = U  # the cached_property's slot: expand_T reuses U
+    return out
+
+
+def _gen_coords(L: Lattice, U: IntMatrix, M: IntMatrix) -> IntMatrix:
+    """solve_int(G, M) for M's rows in L, the lattice of G, and U * G = hnf(G):
+    each row's coefficients over L's basis (Lattice.forms), times U."""
+    _, P, Qt = L.forms
+    return tuple(tuple(sum(map(mul, c, u)) for u in zip(*U))
+                 for c in ([sum(map(mul, q, row)) // P for q in Qt] for row in M))

@@ -1,10 +1,11 @@
+import dataclasses
 import hashlib
 import itertools
 import json
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from types import SimpleNamespace
 
 import pytest
@@ -12,13 +13,14 @@ import pytest
 from tropfan import (Fan1D, GenMatrix, Lattice, LatticeSpanError, NotGeometricError, Ray,
                      TropPoly, TropVector, apply_functor, enumerate_homs,
                      enumerate_morphisms, geometric_check, hom_from_images,
-                     parse_poly, recover_T, separating_pair, substitute_units,
+                     parse_poly, recover_T, separating_pair, solve_int, substitute_units,
                      weighted_eval_map)
-from tropfan import homsearch
+from tropfan import homsearch, lattice as lattice_module
 from tropfan.fan import direction_classes, primitive
 
-from helpers import (B1, B2, FAN_X, FAN_Y, box_hom_oracle, column_permutations,
+from helpers import (B1, B2, FAN_X, FAN_Y, MG_ROWS, box_hom_oracle, column_permutations,
                      genmatrix_x, genmatrix_y, lattice_y, random_degree_zero_row,
+                     random_int_vector,
                      random_primitive_direction, random_source_with_classes,
                      reference_circuit_table, reference_cone_records, reference_enumerate_homs,
                      reference_expand, reference_expand_cones, reference_geometric_check,
@@ -254,6 +256,86 @@ class TestEnumerateWithLattice:
         assert enumerate_homs(gm, 2).families != ()
 
 
+def random_lattice(rng, m):
+    """A seeded target lattice in Z^m and its kind: rank m ("full"), rank
+    m - 1 inside the degree-zero hyperplane ("hyperplane"), or a lower rank
+    than either ("deficient"); rows are often scaled, so the product of the
+    pivots is often above 1."""
+    kind = rng.choice(["full"] + ["hyperplane"] * (m > 1) + ["deficient"] * (m > 2))
+    if kind == "full":
+        rows = [random_int_vector(rng, m, -3, 3) for _ in range(m)]
+    else:
+        rank = m - 1 if kind == "hyperplane" else rng.randint(1, m - 2)
+        rows = [random_degree_zero_row(rng, m) for _ in range(rank)]
+    scales = [rng.choice((1, 1, 2, 3)) for _ in rows]
+    L = Lattice.from_rows([tuple(s * e for e in r) for s, r in zip(scales, rows)])
+    if L.rank < (m if kind == "full" else m - 1):
+        kind = "deficient"
+    return L, kind
+
+
+class TestFormModuli:
+    def test_moduli_and_span_drops_match_scalar_modulus(self):
+        # differential: the moduli and span drops that the lattice's forms
+        # give on a placement's columns equal scalar_modulus (the lcm of the
+        # rows' least multipliers, LatticeSpanError when a row leaves the
+        # span) and the reduction-based reference_least_multiplier
+        rng = random.Random(20261019)
+        kinds, drops, moduli = Counter(), Counter(), Counter()
+        for i in range(330):
+            if i % 3 == 2:
+                source, m = many_class_source(rng, rng.randint(3, 5)), rng.randint(2, 4)
+            else:
+                source = (planar_source(rng) if i % 3 else random_source_with_classes(rng))[0]
+                m = rng.randint(1, 5)
+            L, kind = random_lattice(rng, m)
+            kinds[kind] += 1
+            enum = enumerate_homs(source, m, L)
+            got = {fam.base: fam.modulus for fam in enum.families}
+            assert len(got) == len(enum.families)
+            class_dirs = dict(direction_classes(source))
+            expected = {}
+            for labels, coeffs in enum.circuits:
+                for positions in itertools.permutations(range(m), len(labels)):
+                    at = dict(zip(positions, labels))
+                    sigma = tuple(map(at.get, range(m)))
+                    ray = [t for _, t in sorted(zip(positions, coeffs))]
+                    M0 = homsearch._matrix_from_ray(sigma, ray, class_dirs, source.n)
+                    try:
+                        e = lattice_module.scalar_modulus(M0, L)
+                    except LatticeSpanError:
+                        with pytest.raises(LatticeSpanError):
+                            [reference_least_multiplier(L, row) for row in M0]
+                        drops[kind] += 1
+                        continue
+                    assert e == lcm(*(reference_least_multiplier(L, row) for row in M0))
+                    expected[M0] = e
+                    moduli[kind, e > 1] += 1
+            assert got == expected, (source, m, L)
+        assert set(kinds) == {"deficient", "hyperplane", "full"} and min(kinds.values()) >= 60
+        assert drops["deficient"] >= 100 and not drops["full"] and not drops["hyperplane"]
+        assert all(moduli[kind, True] >= 20 and moduli[kind, False] for kind in kinds)
+
+    def test_enumeration_asks_no_least_multiplier(self, monkeypatch):
+        # work gate: families read their moduli off the lattice's forms, so
+        # enumerate_homs calls neither scalar_modulus (438 calls per expand
+        # suite cycle) nor least_multiplier; X -> 3 labels into the Y lattice
+        # keeps its moduli of 2 and 4
+        def refuse(*args, **kwargs):
+            raise AssertionError("least multiplier asked")
+
+        assert not hasattr(homsearch, "scalar_modulus")
+        monkeypatch.setattr(lattice_module, "scalar_modulus", refuse)
+        monkeypatch.setattr(Lattice, "least_multiplier", refuse)
+        enum = enumerate_homs(genmatrix_x(), 3, lattice_y())
+        assert Counter(fam.modulus for fam in enum.families) == {2: 4, 4: 8}
+        for fam in enum.families:
+            assert fam.modulus == lcm(*(reference_least_multiplier(lattice_y(), row)
+                                        for row in fam.base))
+        lx = Lattice.from_rows(list(genmatrix_x().matrix()))
+        assert enumerate_homs(genmatrix_y(), 5, lx).families == ()
+
+
 class TestConeRecords:
     def test_antiparallel_columns_flag(self):
         gm = GenMatrix.from_matrix([(1, -1)])
@@ -432,6 +514,32 @@ class TestEnumerateMorphisms:
             for k in range(1, 7):
                 expanded.add(fam.matrix_for(k)[0][0])
         assert valid == expanded
+
+    def test_generator_rows_brought_to_hnf_once(self, monkeypatch):
+        # work gate: the target lattice, the families' T and expand_T share
+        # one HNF of the generator rows MG, where there were three; the
+        # shared solve gives solve_int's canonical T
+        calls = []
+        real = lattice_module.hnf
+
+        def counted(rows):
+            calls.append(tuple(map(tuple, rows)))
+            return real(rows)
+
+        monkeypatch.setattr(lattice_module, "hnf", counted)
+        monkeypatch.setattr(homsearch, "hnf", counted)
+        menum = enumerate_morphisms(FAN_Y, FAN_X)
+        Ts = menum.expand_T(8)
+        assert menum.target_gens.matrix() == MG_ROWS
+        assert calls.count(MG_ROWS) <= 1
+        monkeypatch.undo()
+        assert len(Ts) == 17
+        # a copy built without enumerate_morphisms finds the transform itself
+        assert dataclasses.replace(menum).expand_T(8) == Ts
+        for T in Ts | {fam.base_T for fam in menum.families}:
+            image = [[sum(a * b for a, b in zip(row, col)) for col in zip(*MG_ROWS)]
+                     for row in T]
+            assert solve_int(MG_ROWS, image) == T
 
     def test_identity_on_identical_unit_weight_fans(self):
         fan = Fan1D(2, [Ray([1, 0]), Ray([0, 1]), Ray([-1, -1])])
@@ -618,8 +726,9 @@ class TestCircuitTable:
     def test_one_matrix_per_placement(self, monkeypatch):
         # work-counter gate: X has two circuits of three classes, placed at
         # 6 * 5 * 4 positions each in full:6; building the matrix of every
-        # ray of every assignment instead makes 51,840
-        built = count_calls(monkeypatch, "_matrix_from_ray")
+        # ray of every assignment instead makes 51,840; each placement lays
+        # its circuit's column template once
+        built = count_calls(monkeypatch, "_place")
         enum = enumerate_homs(genmatrix_x(), 6)
         assert len(built) == 240
         assert (len(enum.families), len(enum.cone_records)) == (240, 16560)
@@ -853,6 +962,11 @@ def box_size(enum, bound):
     return total
 
 
+def box_candidates(source, bound):
+    """The number of candidate columns box_hom_oracle tries per label."""
+    return 1 + sum(bound // max(map(abs, d)) for _, d in direction_classes(source))
+
+
 def fan_of(rays):
     return Fan1D(len(rays[0][0]), [Ray(d, w) for d, w in rays])
 
@@ -1004,6 +1118,62 @@ class TestKernelExpansion:
             else:
                 outside["congruence"] += max(mults) > 1
         assert (outside["span"], outside["congruence"]) == (span, congruence)
+
+    def test_class_total_expand_matches_oracles(self):
+        # differential: the class-total expansion against the record-based
+        # reference_expand and the definition-level box oracle, at bounds
+        # 0-6 and up to 6 labels; a bound is lowered only where either
+        # oracle's search would pass BUDGET candidates
+        BUDGET = 6_000
+        rng = random.Random(20261019)
+        sizes, bounds = Counter(), Counter()
+        with_lattice = members = 0
+        for i in range(240):
+            m = rng.randint(1, 6)
+            if i % 4 == 3:
+                source = planar_source(rng)[0]
+            else:
+                source = random_source_with_classes(rng, max_labels=6 if m < 4 else 3)[0]
+            lattice = None
+            if rng.random() < 0.4:
+                lattice = random_lattice(rng, m)[0]
+                with_lattice += 1
+            enum = enumerate_homs(source, m, lattice)
+            bound = rng.randint(0, 6)
+            while box_size(enum, bound) > BUDGET or box_candidates(source, bound) ** m > BUDGET:
+                bound -= 1
+            sizes[m] += 1
+            bounds[bound] += 1
+            mine = enum.expand(bound)
+            assert mine == reference_expand(enum, bound), (source, m, lattice, bound)
+            assert mine == box_hom_oracle(source, m, lattice, bound), (source, m, lattice, bound)
+            members += len(mine) - 1
+        assert set(sizes) == set(range(1, 7)) and set(bounds) == set(range(7))
+        assert 60 <= with_lattice <= 140 and members >= 500
+
+    @pytest.mark.parametrize("count, limit", [(c, lim) for c in range(1, 5) for lim in range(5)])
+    def test_compositions_match_product_filter(self, count, limit):
+        for total in range(-1, count * limit + 2):
+            brute = [p for p in itertools.product(range(1, limit + 1), repeat=count)
+                     if sum(p) == total]
+            assert homsearch._compositions(total, count, limit) == brute
+
+    @pytest.mark.parametrize("case, bound, solves, size", [("X full:5", 4, 3, 4061),
+                                                           ("X full:6", 2, 3, 3721),
+                                                           ("Y into the X lattice", 4, 1, 5)])
+    def test_one_kernel_per_covered_class_set(self, monkeypatch, case, bound, solves, size):
+        # work gate: one bounded_points call per class set that the circuits
+        # inside it cover, over its class totals; one call per count vector
+        # made 21, 46 and 10 (for the same member counts)
+        lx = Lattice.from_rows(list(genmatrix_x().matrix()))
+        enum = {"X full:5": lambda: enumerate_homs(genmatrix_x(), 5),
+                "X full:6": lambda: enumerate_homs(genmatrix_x(), 6),
+                "Y into the X lattice": lambda: enumerate_homs(genmatrix_y(), 5, lx)}[case]()
+        solved = count_calls(monkeypatch, "bounded_points")
+        members = enum.expand(bound)
+        assert len(solved) == solves
+        assert len({repr(N) for N, _ in solved}) == solves  # a class set once
+        assert len(members) == size
 
     def test_source_without_circuits_solves_no_kernel(self, monkeypatch):
         # every column lies in the open positive quadrant, so no class lies

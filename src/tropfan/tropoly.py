@@ -6,7 +6,8 @@ define the same function on all of R^n exactly when each exponent set lies
 in the other's convex hull, so only the exponents the two do not share are
 tested, and the same function on a union of rays exactly when they agree at
 one point per ray.  The normal form is canonical(): the vertex set of the
-exponent hull.  Everything here is exact: hull membership is decided by
+exponent hull.  Everything here is exact: rational points are evaluated in
+integers over one common denominator, and hull membership is decided by
 rational linear feasibility, never by sampling.
 """
 
@@ -15,10 +16,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .exactlp import in_convex_hull, strict_separator
-from .maxplus import TropVector, exact_int
+from .maxplus import TropVector, exact_int, exact_rational
 
 Monomial = tuple[int, ...]
 
@@ -87,12 +89,20 @@ class TropPoly:
         return f"TropPoly({self.dim}, {self.sorted_monomials()})"
 
     def eval(self, point: Sequence) -> Optional[Fraction | int]:
-        """Max over monomials of u . point; None (minus infinity) for zero."""
+        """Max over monomials of u . point; None (minus infinity) for zero.
+        A point that is not all int must be rational (no floats or bools); it
+        gives the Fraction max(u . D point) / D, D the lcm of its denominators."""
         if len(point) != self.dim:
             raise ValueError(f"point has length {len(point)}, expected {self.dim}")
         if self.is_zero:
             return None
-        return max(sum(e * p for e, p in zip(u, point)) for u in self.monomials)
+        D = None
+        if any(type(p) is not int for p in point):
+            fr = [exact_rational(p) for p in point]
+            D = lcm(*(p.denominator for p in fr))
+            point = [p.numerator * (D // p.denominator) for p in fr]
+        top = max(sum(e * p for e, p in zip(u, point)) for u in self.monomials)
+        return top if D is None else Fraction(top, D)
 
     def canonical(self) -> "TropPoly":
         """Drop every exponent that is a convex combination of the others.
@@ -115,8 +125,16 @@ class TropPoly:
 
 
 def _is_vertex(u: Monomial, mono: Sequence[Monomial]) -> bool:
-    """Whether u is no convex combination of the other exponents in mono."""
-    return not in_convex_hull(u, [v for v in mono if v != u])
+    """Whether u is no convex combination of the other exponents in the
+    sorted list mono.  The first and last, and one strictly largest or
+    smallest in a coordinate, are vertices without the hull LP."""
+    if u == mono[0] or u == mono[-1]:
+        return True
+    others = [v for v in mono if v != u]
+    for i, c in enumerate(u):
+        if all(v[i] < c for v in others) or all(v[i] > c for v in others):
+            return True
+    return not in_convex_hull(u, others)
 
 
 _VAR = re.compile(r"x([1-9][0-9]*)")

@@ -30,7 +30,7 @@ def integerize(p: Sequence[Rational]) -> tuple[int, ...]:
     if not any(fr):
         raise ValueError("the zero vector has no direction")
     scale = lcm(*(e.denominator for e in fr))
-    return primitive([int(e * scale) for e in fr])
+    return primitive([e.numerator * (scale // e.denominator) for e in fr])
 
 
 def orth_basis(p: Sequence[Rational]) -> list[tuple[int, ...]]:
@@ -40,7 +40,11 @@ def orth_basis(p: Sequence[Rational]) -> list[tuple[int, ...]]:
     p's primitive direction into Hermite form span the full integer kernel;
     the result is re-canonicalized through HNF.  Empty in dimension 1.
     """
-    d = integerize(p)
+    return _kernel_basis(integerize(p))
+
+
+def _kernel_basis(d: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """orth_basis of the primitive integer direction d."""
     n = len(d)
     if n == 1:
         return []
@@ -99,7 +103,7 @@ def separating_pair(z_dirs: Sequence[Sequence[int]],
     d1 = integerize(point)
     if d1 in dirs:
         raise PointInSupportError(f"point direction {d1} lies in the ray union")
-    basis = orth_basis(point)
+    basis = _kernel_basis(d1)
     n = len(d1)
     K = 1
     for d in dirs:

@@ -502,6 +502,78 @@ def reference_separating_point(f: TropPoly, g: TropPoly):
     raise AssertionError("distinct hulls must admit a separating vertex")
 
 
+def reference_eval(p: TropPoly, point):
+    """TropPoly.eval by multiplying entry by entry: the max over monomials
+    of sum(e * x).  The formula that the common-denominator evaluation
+    replaced; kept as its oracle."""
+    if p.is_zero:
+        return None
+    return max(sum(e * x for e, x in zip(u, point)) for u in p.monomials)
+
+
+def reference_is_vertex(u, mono):
+    """_is_vertex by one hull LP for every exponent, extremes included."""
+    from tropfan.exactlp import in_convex_hull
+
+    return not in_convex_hull(u, [v for v in mono if v != u])
+
+
+def _reference_integerize(p):
+    from math import lcm
+    from tropfan import primitive
+    from tropfan.maxplus import exact_rational
+
+    fr = [exact_rational(e) for e in p]
+    if not any(fr):
+        raise ValueError("the zero vector has no direction")
+    scale = lcm(*(e.denominator for e in fr))
+    return primitive([int(e * scale) for e in fr])
+
+
+def reference_separating_pair(z_dirs, p):
+    """separating_pair with Fraction products: the point is integerized by
+    multiplying each entry by the scale, once for its direction and once
+    more for the orthogonal basis.  Kept as the witness oracle."""
+    from tropfan import PointInSupportError, WitnessPair, primitive
+    from tropfan.lattice import hnf
+    from tropfan.maxplus import exact_rational
+
+    point = tuple(map(exact_rational, p))
+    if any(len(d) != len(point) for d in z_dirs):
+        raise ValueError(f"every direction must have the point's {len(point)} coordinates")
+    dirs = [primitive(d) for d in z_dirs]
+    if not any(point):
+        raise PointInSupportError("the origin lies in every cone-closed set")
+    d1 = _reference_integerize(point)
+    if d1 in dirs:
+        raise PointInSupportError(f"point direction {d1} lies in the ray union")
+    n = len(d1)
+    basis = []
+    if n > 1:
+        _, U = hnf([(e,) for e in _reference_integerize(point)])
+        kernel, _ = hnf(U[1:])
+        basis = [row for row in kernel if any(row)]
+    K = 1
+    for d in dirs:
+        up = sum(a * b for a, b in zip(d1, d))
+        if up > 0:
+            denom = max(abs(sum(a * b for a, b in zip(e, d))) for e in basis)
+            K = max(K, 1 - (-up // denom))
+    monos = [(0,) * n]
+    for e in basis:
+        monos.append(tuple(K * c for c in e))
+        monos.append(tuple(-K * c for c in e))
+    return WitnessPair(TropPoly(n, monos), TropPoly(n, monos + [d1]),
+                       point, d1, tuple(basis), K)
+
+
+def reference_verify_witness(w, z_dirs):
+    """verify_witness through reference_eval."""
+    if any(reference_eval(w.f, d) != reference_eval(w.g, d) for d in z_dirs):
+        return False
+    return reference_eval(w.f, w.point) != reference_eval(w.g, w.point)
+
+
 def reference_solve_eq_nonneg(A, b):
     """Return x >= 0 with A x = b, or None when the system is infeasible.
 

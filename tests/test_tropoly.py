@@ -9,8 +9,10 @@ from tropfan import (PolySyntaxError, TropPoly, TropVector, fn_eq_on_rays,
                      fn_eq_on_space, parse_poly, separating_point,
                      substitute_units)
 from tropfan.exactlp import in_convex_hull
+from tropfan.tropoly import _is_vertex
 
-from helpers import random_poly, random_rational_point, reference_separating_point
+from helpers import (random_int_vector, random_poly, random_rational_point,
+                     reference_eval, reference_is_vertex, reference_separating_point)
 
 
 class TestParser:
@@ -92,6 +94,29 @@ class TestEval:
     def test_zero_poly_evaluates_to_bottom(self):
         assert TropPoly.zero(2).eval((1, 2)) is None
 
+    def test_floats_and_bools_refused(self):
+        p = TropPoly(2, [(1, 0), (0, 1)])
+        for point in ([1.5, 2], [True, 0]):
+            with pytest.raises(ValueError, match="expected an integer or a Fraction"):
+                p.eval(point)
+
+    def test_matches_entrywise_reference(self):
+        # int points keep int values; rational points (denominators up to 12,
+        # some entries left as ints) and int-valued Fractions give Fractions
+        rng = random.Random(31)
+        for i in range(600):
+            dim = rng.randint(1, 4)
+            p = random_poly(rng, dim, max_monos=6, bound=rng.choice((3, 40)))
+            if i % 3 == 0:
+                x = random_int_vector(rng, dim, -9, 9)
+            elif i % 3 == 1:
+                x = tuple(rng.randint(-9, 9) if rng.random() < 0.3 else c
+                          for c in random_rational_point(rng, dim, den_bound=12))
+            else:
+                x = tuple(Fraction(rng.randint(-9, 9)) for _ in range(dim))
+            got, want = p.eval(x), reference_eval(p, x)
+            assert got == want and type(got) is type(want)
+
 
 class TestCanonical:
     def test_midpoint_dropped(self):
@@ -123,6 +148,24 @@ class TestCanonical:
     def test_zero_poly_rejected(self):
         with pytest.raises(ValueError):
             TropPoly.zero(2).canonical()
+
+    def test_is_vertex_matches_hull_lp(self):
+        # small coordinate ranges make ties common: an exponent that shares a
+        # coordinate's extreme value with another must still take the LP
+        rng = random.Random(47)
+        tied_non_vertices = 0
+        for _ in range(1200):
+            dim = rng.randint(2, 4)
+            bound = rng.randint(1, 3)
+            mono = sorted({random_int_vector(rng, dim, -bound, bound)
+                           for _ in range(rng.randint(1, 8))})
+            for u in mono:
+                expected = reference_is_vertex(u, mono)
+                assert _is_vertex(u, mono) == expected
+                tied_non_vertices += not expected and any(
+                    c in (max(v[i] for v in mono), min(v[i] for v in mono))
+                    for i, c in enumerate(u))
+        assert tied_non_vertices >= 100
 
     def test_json_round_trip(self):
         p = TropPoly(2, [(1, -1), (0, 2)])
@@ -218,6 +261,25 @@ class TestEqOnSpace:
         g = f + TropPoly(2, [(1, 1)])
         assert fn_eq_on_space(f, g)
         assert calls == {"in_convex_hull": 1, "strict_separator": 0}
+
+
+    def test_vertex_lp_count(self, monkeypatch):
+        # pinned work over a fixed list of pairs: with one hull LP for every
+        # tested exponent, extremes included, this list took 202 hull LPs;
+        # the separator LPs do not depend on the vertex test
+        calls = {"in_convex_hull": 0, "strict_separator": 0}
+        for name in calls:
+            def wrapper(*args, _name=name, _real=getattr(tropfan.tropoly, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(tropfan.tropoly, name, wrapper)
+        rng = random.Random(61)
+        for _ in range(200):
+            dim = rng.randint(2, 4)
+            f = random_poly(rng, dim, max_monos=7, bound=2)
+            g = f + random_poly(rng, dim, max_monos=3, bound=2)
+            separating_point(f, g)
+        assert calls == {"in_convex_hull": 72, "strict_separator": 189}
 
 
 class TestEqOnRays:

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,8 @@ from tropfan import (PointInSupportError, TropPoly, WitnessPair, fn_eq_on_rays,
 from tropfan.lattice import hnf
 from tropfan.witness import witness_to_json
 
-from helpers import FAN_X, random_primitive_direction, random_rational_point
+from helpers import (FAN_X, random_primitive_direction, random_rational_point,
+                     reference_separating_pair, reference_verify_witness)
 
 
 class TestIntegerize:
@@ -196,6 +198,35 @@ class TestVerifyWitness:
         moved = WitnessPair(w.f, w.g, (Fraction(3), Fraction(0)),
                             w.direction, w.basis, w.K)
         assert not verify_witness(moved, dirs)
+
+
+class TestAgainstFractionReference:
+    def test_pairs_and_verdicts_match(self):
+        # a fifth of the points lie on the union, so refusals are compared too;
+        # each witness is also checked at a moved point, where it may fail
+        rng = random.Random(89)
+        built = 0
+        for _ in range(440):
+            n = rng.randint(1, 4)
+            dirs = [random_primitive_direction(rng, n) for _ in range(rng.randint(0, 5))]
+            if dirs and rng.random() < 0.2:
+                t = Fraction(rng.randint(1, 5), rng.randint(1, 12))
+                p = tuple(t * c for c in rng.choice(dirs))
+            else:
+                p = random_rational_point(rng, n, den_bound=12)
+            try:
+                want = reference_separating_pair(dirs, p)
+            except PointInSupportError:
+                with pytest.raises(PointInSupportError):
+                    separating_pair(dirs, p)
+                continue
+            w = separating_pair(dirs, p)
+            assert w == want and witness_to_json(w) == witness_to_json(want)
+            moved = replace(w, point=random_rational_point(rng, n, den_bound=12))
+            for cand in (w, moved):
+                assert verify_witness(cand, dirs) == reference_verify_witness(cand, dirs)
+            built += 1
+        assert built >= 300
 
 
 class TestCongruenceVariety:

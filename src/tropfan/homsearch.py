@@ -27,6 +27,14 @@ Records share each circuit's sorted placements, and the JSON lines dump
 each distinct placement matrix once.  An expansion solves one bounded
 kernel per class set, over the class totals, spreads the totals over the
 slots, and keeps the points whose rows meet a target lattice's forms.
+
+An enumeration holds thousands of per-member results (HomFamily, ConeRecord,
+MorphismFamily), and the cyclic collector walks every one of them on each
+full collection.  So they are frozen dataclasses over __slots__ (_Slotted):
+no instance carries a __dict__, so the collector finds each record's fields
+inside the record, with no separate attribute store to reach (a dict before
+Python 3.11, a values array in 3.11 and 3.12), while equality, hashing, copy
+and pickle stay by value.
 """
 
 from __future__ import annotations
@@ -88,11 +96,29 @@ def geometric_check(images: Sequence[TropVector],
     return witnesses
 
 
+class _Slotted:
+    """Base of the frozen per-member records, which declare their fields in
+    __slots__ (see the module docstring).  copy and pickle restore the slots
+    through object.__setattr__, since the frozen dataclass refuses setattr;
+    not dataclass(slots=True), whose frozen form raises TypeError instead of
+    AttributeError on an unknown attribute."""
+
+    __slots__ = ()
+
+    def __getstate__(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, state):
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
+
 @dataclass(frozen=True)
-class HomFamily:
+class HomFamily(_Slotted):
     """The one-parameter matrix set {s * base : s a positive multiple of
     modulus}; base is primitive (entry gcd 1) and columns follow assignment."""
 
+    __slots__ = ("assignment", "base", "modulus")
     assignment: Assignment
     base: IntMatrix
     modulus: int
@@ -112,10 +138,11 @@ class HomFamily:
 
 
 @dataclass(frozen=True)
-class ConeRecord:
+class ConeRecord(_Slotted):
     """Escape hatch for assignments whose scaling cone is not a single ray:
     the extreme-ray base matrices are listed, moduli deferred."""
 
+    __slots__ = ("assignment", "ray_bases")
     assignment: Assignment
     ray_bases: tuple[IntMatrix, ...]
 
@@ -393,7 +420,8 @@ def enumerate_homs(source: GenMatrix, target_size: int,
             at = dict(zip(positions, labels))
             families.append(HomFamily(tuple(map(at.get, range(target_size))), M0, modulus))
 
-    keyed: list[tuple[tuple[int, ...], ConeRecord]] = []
+    records: list[ConeRecord] = []
+    keys: list[tuple[int, ...]] = []  # records[i]'s sort key, None as -1
     tables: dict[tuple[int, ...], list] = {}  # shape -> (key getter, slots) per layout
     laid: dict[tuple, list] = {}  # (circuit, shape, value indices) -> sorted bases per layout
     for vals, shape, live in _class_multisets([a for a, _ in reps], circuits, target_size):
@@ -411,12 +439,14 @@ def enumerate_homs(source: GenMatrix, target_size: int,
         per_circuit = [laid[c, shape, idx] for c, idx in live]
         bases_at = (per_circuit[0] if len(live) == 1 else
                     [tuple(sorted(itertools.chain(*bs))) for bs in zip(*per_circuit)])
+        records += [ConeRecord(assign(vals), bases) for (assign, _), bases in zip(table, bases_at)]
         sort_vals = [-1 if a is None else a for a in vals]
-        for (assign, _), bases in zip(table, bases_at):
-            keyed.append((assign(sort_vals), ConeRecord(assign(vals), bases)))
+        keys += [assign(sort_vals) for assign, _ in table]
 
     fams = tuple(sorted(families, key=HomFamily.sort_key))
-    recs = tuple(rec for _, rec in sorted(keyed, key=itemgetter(0)))
+    # ConeRecord.sort_key order (assignments are unique), with the keys the
+    # layout getters built instead of one Python-level key call per record
+    recs = tuple(map(records.__getitem__, sorted(range(len(keys)), key=keys.__getitem__)))
     return HomEnumeration(n, target_size, source, target_lattice, fams, recs, circuits)
 
 
@@ -491,10 +521,11 @@ def recover_T(images: Sequence[TropVector], target_gens: GenMatrix) -> IntMatrix
 
 
 @dataclass(frozen=True)
-class MorphismFamily:
+class MorphismFamily(_Slotted):
     """The matrix set {k * base_T : k a positive integer} of linear maps
     carrying one fan's support into the other's."""
 
+    __slots__ = ("assignment", "base_T")
     assignment: Assignment
     base_T: IntMatrix
 

@@ -75,6 +75,8 @@ class TropVector:
     entries: Optional[tuple[int, ...]]
 
     def __init__(self, entries: Iterable[int] | None, size: int | None = None):
+        if size is not None:
+            size = exact_int(size)
         if entries is None:
             if size is None:
                 raise ValueError("bottom vector needs an explicit size")
@@ -88,8 +90,8 @@ class TropVector:
                 raise ValueError("size disagrees with number of entries")
             object.__setattr__(self, "entries", tup)
             object.__setattr__(self, "size", len(tup))
-        if self.size == 0:
-            raise ValueError("empty label sets are not supported")
+        if self.size < 1:
+            raise ValueError(f"a vector needs one label or more, got size {self.size}")
 
     @classmethod
     def bottom(cls, size: int) -> "TropVector":
@@ -150,12 +152,16 @@ class TropVector:
         """Split into two degree-zero vectors whose max is this vector.
 
         The first part lowers entry ``a1`` by the degree, the second lowers
-        ``a2``; requires two distinct labels and a non-bottom vector.
+        ``a2``; requires two distinct labels in 0..size-1 (no negative
+        indices, which would alias a label) and a non-bottom vector.
         """
         if self.is_bottom:
             raise ValueError("cannot decompose the bottom element")
         if self.size < 2:
             raise ValueError("decomposition needs at least two labels")
+        a1, a2 = exact_int(a1), exact_int(a2)
+        if not (0 <= a1 < self.size and 0 <= a2 < self.size):
+            raise ValueError(f"decomposition labels must lie in 0..{self.size - 1}")
         if a1 == a2:
             raise ValueError("decomposition labels must differ")
         d = self.degree

@@ -102,9 +102,30 @@ def test_decompose_rejects_bad_input():
         TropVector.bottom(2).decompose(0, 1)
 
 
+def test_decompose_rejects_aliased_or_out_of_range_labels():
+    # -1 would name label 2 a second time, and lower it twice
+    with pytest.raises(ValueError, match="must lie in"):
+        TropVector([1, 0, 0]).decompose(2, -1)
+    with pytest.raises(ValueError, match="must lie in"):
+        TropVector([1, 0, 0]).decompose(0, 5)
+
+
 def test_empty_label_set_rejected():
     with pytest.raises(ValueError):
         TropVector([])
+
+
+@pytest.mark.parametrize("bad", [-1, 0, 1.5, True])
+def test_bottom_size_must_be_a_positive_integer(bad):
+    with pytest.raises(ValueError):
+        TropVector.bottom(bad)
+
+
+def test_size_must_be_an_integer():
+    with pytest.raises(ValueError, match="expected an integer"):
+        TropVector([1, 2, 3], size=3.0)
+    assert TropVector([1, 2, 3], size=Fraction(6, 2)).size == 3
+    assert type(TropVector.bottom(Fraction(4, 2)).size) is int
 
 
 @pytest.mark.parametrize("bad", [[Fraction(1, 2), Fraction(-1, 2)], [True, 0],

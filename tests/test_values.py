@@ -13,6 +13,7 @@ from tropfan import (Fan1D, GenMatrix, Lattice, Ray, TropPoly, TropVector,
 
 from helpers import B1, FAN_X, FAN_Y, MG_ROWS, genmatrix_x
 
+X_FULL5 = enumerate_homs(genmatrix_x(), 5)
 VALUES = {
     "TropVector": TropVector([2, -1, 0]),
     "TropVector.bottom": TropVector.bottom(3),
@@ -23,6 +24,9 @@ VALUES = {
     "TropPoly.zero": TropPoly.zero(2),
     "Lattice": Lattice.from_rows(MG_ROWS),
     "Hom": hom_from_images([TropVector(row) for row in B1], genmatrix_x()),
+    "HomFamily": X_FULL5.families[0],
+    "ConeRecord": X_FULL5.cone_records[0],
+    "MorphismFamily": enumerate_morphisms(FAN_Y, FAN_X).families[0],
 }
 RESULTS = {
     "HomEnumeration": enumerate_homs(genmatrix_x(), 3),
@@ -48,6 +52,22 @@ def test_copy_pickle_and_frozen_fields(name):
     for attr in (dataclasses.fields(value)[0].name, "unknown"):
         with pytest.raises(AttributeError):
             setattr(value, attr, None)
+
+
+def test_per_member_records_have_no_instance_dict():
+    # an enumeration holds thousands of these; slots keep their fields inside
+    # each object, where the cyclic collector reads them without a dict
+    enum = RESULTS["MorphismEnumeration"]
+    records = [VALUES[name] for name in ("HomFamily", "ConeRecord", "MorphismFamily")]
+    for record in [*records, *enum.families, *enum.cone_records]:
+        assert not hasattr(record, "__dict__")
+
+
+def test_enumeration_of_slotted_records_copies_and_pickles_whole():
+    assert len(X_FULL5.families) == 120 and len(X_FULL5.cone_records) == 1500
+    for twin in (copy.deepcopy(X_FULL5), pickle.loads(pickle.dumps(X_FULL5))):
+        assert twin == X_FULL5
+        assert twin.to_json_lines() == X_FULL5.to_json_lines()
 
 
 def test_lattice_with_cached_forms_keeps_value_semantics():

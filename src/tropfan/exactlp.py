@@ -5,14 +5,20 @@ The whole problem is scaled by the common denominator of its entries and
 pivoted on an integer tableau with exact division (Edmonds 1967; Bareiss
 1968), so Fractions appear only at the boundary: in checking rational input
 and in reading the solution.  Bland's pivoting rule guarantees termination
-despite degeneracy.  This is the workhorse behind convex-hull redundancy
-tests and separating-point certificates.
+despite degeneracy.  Each tableau column is stored once up to sign: a
+column that copies or negates an earlier one, or is a multiple of an
+artificial's, is read through its twin with a derived reduced cost, so the
+separator LP's w- and slack columns cost no row operations.  This is the
+workhorse behind convex-hull redundancy tests and separating-point
+certificates.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
+from operator import neg
 from typing import Optional, Sequence
 
 from .maxplus import exact_rational
@@ -31,8 +37,13 @@ def solve_eq_nonneg(A: Sequence[Sequence], b: Sequence) -> Optional[list[Fractio
     factor cancels: uniform scaling moves neither the pivots nor x).  A pivot
     on p = T[r][e] keeps row r and maps every other row, the reduced-cost row
     included, to (p * T[i] - T[i][e] * T[r]) // D, a division that is always
-    exact.  Every pivot is positive, so every sign and every ratio comparison
+    exact; a row with T[i][e] = 0 is only rescaled, and not at all when
+    p = D.  Every pivot is positive, so every sign and every ratio comparison
     is that of the Fraction tableau, and Bland's rule picks the same pivots.
+    Each column is stored once up to sign (_tableau): a copy or negation of
+    a stored column, or a multiple of an artificial's, is read through it,
+    so Bland's rule scans the same columns in the same order and takes the
+    same pivots, and x is the same.
     """
     m = len(A)
     if len(b) != m:
@@ -42,44 +53,34 @@ def solve_eq_nonneg(A: Sequence[Sequence], b: Sequence) -> Optional[list[Fractio
     n = len(A[0])
     if any(len(row) != n for row in A):
         raise ValueError("the rows of A differ in length")
-    rows = [[_entry(e) for e in row] + [_entry(v)] for row, v in zip(A, b)]
-    dens = [e.denominator for row in rows for e in row if type(e) is not int]
-    if dens:
-        den = lcm(*dens)
+    rows = [[*row, v] for row, v in zip(A, b)]
+    if set(map(type, chain.from_iterable(rows))) != {int}:
+        rows = [[_entry(e) for e in row] for row in rows]
+        den = lcm(*(e.denominator for row in rows for e in row if type(e) is not int))
         rows = [[e * den if type(e) is int else e.numerator * (den // e.denominator)
                  for e in row] for row in rows]
 
-    # Tableau columns: n real variables, m artificials, then the rhs.
-    width = n + m
-    T = []
-    for i, row in enumerate(rows):
-        if row[n] < 0:
-            row = [-e for e in row]
-        T.append(row[:n] + [int(j == i) for j in range(m)] + row[n:])
-    basis = [n + i for i in range(m)]
-
-    # Phase-I objective: minimize the artificial sum. Reduced-cost row for
-    # the initial artificial basis is the negated column sums over [A | I | b]
-    # plus the unit costs of the artificials.
-    red = [-sum(col) for col in zip(*T)]
-    for j in range(n, width):
-        red[j] += 1
-
+    T, red, order = _tableau(rows, n)
     D = 1
+    basis = list(range(n, n + m))
     while True:
-        enter = next((j for j in range(width) if red[j] < 0), None)
-        if enter is None:
+        # Bland's rule: the first column, in the order of [A | I], whose
+        # reduced cost s * red[q] - c * D is negative
+        for enter, (q, s, c) in enumerate(order):
+            if s * red[q] < c * D:
+                break
+        else:
             break
+        col = [s * row[q] for row in T]
         leave = None
-        for i in range(m):
-            a = T[i][enter]
+        for i, a in enumerate(col):
             if a > 0:
                 if leave is None:
                     leave = i
                     continue
-                # ratio T[i][w] / a against T[leave][w] / T[leave][enter]
-                lhs = T[i][width] * T[leave][enter]
-                rhs = T[leave][width] * a
+                # ratio T[i][rhs] / a against T[leave][rhs] / col[leave]
+                lhs = T[i][-1] * col[leave]
+                rhs = T[leave][-1] * a
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
@@ -87,23 +88,68 @@ def solve_eq_nonneg(A: Sequence[Sequence], b: Sequence) -> Optional[list[Fractio
             # guard anyway.
             return None
         prow = T[leave]
-        p = prow[enter]
-        for i in range(m):
-            if i != leave:
-                f = T[i][enter]
-                T[i] = [(p * e - f * g) // D for e, g in zip(T[i], prow)]
-        f = red[enter]
+        p = col[leave]
+        for i, f in enumerate(col):
+            if f:
+                if i != leave:
+                    T[i] = [(p * e - f * g) // D for e, g in zip(T[i], prow)]
+            elif p != D:
+                T[i] = [p * e // D for e in T[i]]
+        f = s * red[q] - c * D
         red = [(p * e - f * g) // D for e, g in zip(red, prow)]
         D = p
         basis[leave] = enter
 
-    if red[width] != 0:
+    if red[-1] != 0:
         return None
     x = [Fraction(0)] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = Fraction(T[i][width], D)
+    for i, j in enumerate(basis):
+        if j < n:
+            x[j] = Fraction(T[i][-1], D)
     return x
+
+
+def _tableau(rows: list[list[int]], n: int):
+    """The phase-I tableau of the integer rows [A | b] (n columns of A),
+    each column stored once up to sign; returns (T, red, order).
+
+    Rows with b_i < 0 are negated first.  T's columns are the artificials
+    e_i, then each column of A that neither copies nor negates an earlier
+    stored column nor is a multiple v e_i, then b.  red is the reduced-cost
+    row of the artificial sum over them: minus the column sums, plus the
+    artificials' unit costs, which leaves their entries 0.  order[j] = (q, s,
+    c) for column j of [A | I], in Bland's order: the column is s times T's
+    column q, and its reduced cost is s * red[q] - c * D, where s = c = v
+    for v e_i (artificial i costs 1) and c = 0 otherwise.  A pivot maps
+    every column by the same linear map, so these relations hold in every
+    later tableau.
+    """
+    m = len(rows)
+    rows = [list(map(neg, row)) if row[n] < 0 else row for row in rows]
+    cols = list(zip(*rows))
+    twin = {}  # a stored column and its negation -> (q, s, 0)
+    kept = []
+    order = []
+    for col in cols[:n]:
+        t = twin.get(col)
+        if t is None:
+            if col.count(0) == m - 1:
+                v = sum(col)  # the one nonzero entry
+                t = (col.index(v), v, v)
+            else:
+                q = m + len(kept)
+                twin[tuple(map(neg, col))] = (q, -1, 0)
+                twin[col] = t = (q, 1, 0)
+                kept.append(col)
+        order.append(t)
+    order += [(i, 1, 0) for i in range(m)]
+    kept.append(cols[n])
+    if len(kept) <= n:  # some column is a twin: rebuild the rows without it
+        rows = [list(row) for row in zip(*kept)]
+    T = [[0] * m + row for row in rows]
+    for i in range(m):
+        T[i][i] = 1
+    return T, [0] * m + [-s for s in map(sum, kept)], order
 
 
 def _check_dims(dim: int, pts: Sequence[Sequence]) -> None:
@@ -143,8 +189,11 @@ def strict_separator(point: Sequence, others: Sequence[Sequence]) -> Optional[li
     A = []
     for idx, v in enumerate(pts):
         diff = [a - _entry(c) for a, c in zip(u, v)]
-        A.append(diff + [-e for e in diff] + [-int(j == idx) for j in range(k)])
+        slack = [0] * k
+        slack[idx] = -1
+        A.append(diff + list(map(neg, diff)) + slack)
     x = solve_eq_nonneg(A, [1] * k)
     if x is None:
         return None
-    return [x[i] - x[dim + i] for i in range(dim)]
+    # w+_i and w-_i are negated columns, so no basis holds both: one is 0
+    return [x[i] or -x[dim + i] for i in range(dim)]

@@ -119,6 +119,18 @@ def _pivots(H: IntMatrix) -> list[tuple[int, int]]:
     return out
 
 
+def _is_hnf(H: Sequence[Sequence[int]]) -> bool:
+    """Whether H already is its canonical row HNF: echelon with positive
+    pivots, entries above each pivot in [0, pivot), zero rows last."""
+    last = -1
+    for i, (r, j) in enumerate(_pivots(H)):
+        p = H[r][j]
+        if r != i or j <= last or p < 0 or any(not 0 <= H[k][j] < p for k in range(r)):
+            return False
+        last = j
+    return True
+
+
 def _reduce_against(H: IntMatrix, v: Sequence[int]):
     """Forward-substitute the integer vector v against echelon H.
 
@@ -144,7 +156,8 @@ class Lattice:
     """A subgroup of Z^m stored by its canonical row-HNF basis.
 
     The constructor brings any generating rows of the right length to that
-    basis, so equal lattices compare equal however they were given.
+    basis, so equal lattices compare equal however they were given; rows
+    already in that form are taken as they are, without an HNF run.
     Membership reads the linear forms of the forms property, computed once
     per lattice and cached outside the fields, so they take no part in ==,
     hash or dataclasses.replace.
@@ -160,9 +173,9 @@ class Lattice:
         rows = _as_matrix(self.basis)
         if any(len(row) != ambient for row in rows):
             raise ValueError("generator length disagrees with ambient dimension")
-        H, _ = hnf(rows)
+        H = rows if _is_hnf(rows) else hnf(rows)[0]
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", tuple(row for row in H if any(row)))
+        object.__setattr__(self, "basis", tuple(tuple(row) for row in H if any(row)))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], ambient: int | None = None) -> "Lattice":

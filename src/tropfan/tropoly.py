@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .exactlp import in_convex_hull, strict_separator
@@ -91,17 +92,19 @@ class TropPoly:
     def eval(self, point: Sequence) -> Optional[Fraction | int]:
         """Max over monomials of u . point; None (minus infinity) for zero.
         A point that is not all int must be rational (no floats or bools); it
-        gives the Fraction max(u . D point) / D, D the lcm of its denominators."""
+        is cleared to integers over the lcm D of its denominators and gives
+        the Fraction max(u . D point) / D.  Each u . point is one
+        sum(map(mul, u, point)) over ints."""
         if len(point) != self.dim:
             raise ValueError(f"point has length {len(point)}, expected {self.dim}")
-        if self.is_zero:
+        if not self.monomials:
             return None
         D = None
-        if any(type(p) is not int for p in point):
+        if set(map(type, point)) != {int}:
             fr = [exact_rational(p) for p in point]
             D = lcm(*(p.denominator for p in fr))
             point = [p.numerator * (D // p.denominator) for p in fr]
-        top = max(sum(e * p for e, p in zip(u, point)) for u in self.monomials)
+        top = max([sum(map(mul, u, point)) for u in self.monomials])
         return top if D is None else Fraction(top, D)
 
     def canonical(self) -> "TropPoly":

@@ -165,6 +165,52 @@ def box_hom_oracle(source: GenMatrix, target_size: int, lattice, bound: int):
     return out
 
 
+def definitional_hom_oracle(source: GenMatrix, target_size: int, bound: int):
+    """(homomorphisms, refused) over every degree-zero integer image matrix
+    with entries in [-bound, bound], decided from the definition of a
+    homomorphism instead of the paper's theorem that all are geometric.
+
+    Every matrix is tried, with no geometric filter.  hom_from_images
+    accepts exactly the matrices whose columns all lie on the source ray
+    union, and those respect every relation, since the polynomials are
+    positively homogeneous.  A matrix it refuses must have a column off the
+    ray union where separating_pair gives f and g with
+    substitute_units(f, source rows) == substitute_units(g, source rows)
+    that differ at the column (checked by reference_eval too), so no
+    homomorphism has those images; the refused matrices are counted.
+    """
+    import itertools
+    from tropfan import (NotGeometricError, PointInSupportError, TropVector,
+                         hom_from_images, separating_pair, substitute_units)
+
+    dirs = [col for col in source.columns() if any(col)]
+    rows = [r for r in itertools.product(range(-bound, bound + 1), repeat=target_size)
+            if not sum(r)]
+    homs, refused = set(), 0
+    for M in itertools.product(rows, repeat=source.n):
+        images = [TropVector(r) for r in M]
+        try:
+            hom_from_images(images, source)
+        except NotGeometricError:
+            pass
+        else:
+            homs.add(M)
+            continue
+        for b, col in enumerate(zip(*M)):
+            try:
+                w = separating_pair(dirs, col)
+            except PointInSupportError:
+                continue
+            assert substitute_units(w.f, source.rows) == substitute_units(w.g, source.rows)
+            assert substitute_units(w.f, images)[b] != substitute_units(w.g, images)[b]
+            assert reference_eval(w.f, col) != reference_eval(w.g, col)
+            refused += 1
+            break
+        else:
+            raise AssertionError(f"{M} refused with every column on the ray union")
+    return homs, refused
+
+
 def random_source_with_classes(rng, max_rows=3, max_labels=6):
     """A random generator matrix whose columns are drawn as zero, as a
     positive or negative multiple of an earlier nonzero column, or fresh;

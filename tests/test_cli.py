@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tropfan
 import tropfan.cli
 import tropfan.tropoly
 from tropfan import GenMatrix, enumerate_homs
@@ -41,13 +42,27 @@ Y_FAN = {
 }
 
 
+# A subprocess imports the tropfan this process imported: src/ goes first on
+# PYTHONPATH only when that tropfan is this checkout's (pytest's pythonpath
+# setting or the caller's PYTHONPATH put it there); an installed package is
+# left to be found as this process found it.
+ENV = dict(os.environ)
+if SRC in Path(tropfan.__file__).resolve().parents:
+    ENV["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+
+
 def run(*args):
-    # the subprocess imports tropfan from this checkout, with or without a
-    # PYTHONPATH in the caller's environment
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "tropfan.cli", *args],
-                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+                          capture_output=True, text=True, env=ENV)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_subprocess_imports_the_same_tropfan():
+    # with src/ prepended unconditionally, a run against the installed
+    # package still checked src/ in every subprocess
+    proc = subprocess.run([sys.executable, "-c", "import tropfan; print(tropfan.__file__)"],
+                          capture_output=True, text=True, env=ENV, check=True)
+    assert Path(proc.stdout.strip()).resolve() == Path(tropfan.__file__).resolve()
 
 
 @pytest.fixture

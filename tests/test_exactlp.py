@@ -2,6 +2,7 @@ import fractions
 import itertools
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -238,6 +239,96 @@ class TestDifferential:
         want = [(in_convex_hull(u, pts), strict_separator(u, pts)) for u, pts in cases]
         assert got == want
         assert {h for h, _ in got} == {True, False}
+
+
+def _twin_system(rng, k):
+    """One seeded system whose columns solve_eq_nonneg stores once up to
+    sign: fresh columns, copies and negations of earlier ones, zero columns,
+    and multiples v e_i (the -e_i slacks among them); int or Fraction data
+    by k; feasible by construction, b = 0 (fully degenerate), or a random
+    right-hand side (mostly infeasible).  Returns A, b and the column kinds."""
+    m = rng.randint(1, 5)
+    if k % 2:
+        def entry():
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    else:
+        def entry():
+            return rng.randint(-4, 4)
+    cols, kinds = [], []
+    for _ in range(rng.randint(1, 10)):
+        kind = rng.choice(("fresh", "fresh", "copy", "negation", "slack", "unit", "zero"))
+        if kind in ("copy", "negation") and not cols:
+            kind = "fresh"
+        if kind == "fresh":
+            col = [entry() for _ in range(m)]
+        elif kind == "copy":
+            col = list(rng.choice(cols))
+        elif kind == "negation":
+            col = [-e for e in rng.choice(cols)]
+        elif kind == "zero":
+            col = [0] * m
+        else:
+            col = [0] * m
+            col[rng.randrange(m)] = -1 if kind == "slack" else rng.choice((1, 2, -3, entry()))
+        cols.append(col)
+        kinds.append(kind)
+    A = [list(row) for row in zip(*cols)]
+    kind = k % 3
+    if kind == 0:
+        x0 = [rng.choice((0, 0, 1, 2, Fraction(1, 3))) for _ in cols]
+        b = [sum(a * x for a, x in zip(row, x0)) for row in A]
+    elif kind == 1:
+        b = [0] * m
+    else:
+        b = [entry() for _ in range(m)]
+    return A, b, kinds
+
+
+def test_twin_columns_same_solution_as_fraction_tableau():
+    """Copies, negations, zero columns and multiples of e_i are read through
+    a stored twin; the pivots and x stay those of the Fraction tableau, on
+    rows whose sign the normalisation keeps and on rows it flips."""
+    rng = random.Random(20261020)
+    seen = Counter()
+    for k in range(5000):
+        A, b, kinds = _twin_system(rng, k)
+        x = solve_eq_nonneg(A, b)
+        assert x == reference_solve_eq_nonneg(A, b), (A, b)
+        seen.update(kinds)
+        seen["feasible" if x is not None else "infeasible"] += 1
+        seen["fraction" if k % 2 else "int"] += 1
+        seen["degenerate"] += not any(b)
+        for j, kind in enumerate(kinds):
+            if kind == "slack":
+                i = next(i for i, row in enumerate(A) if row[j])
+                seen["slack on a flipped row" if b[i] < 0 else "slack on a kept row"] += 1
+    assert min(seen.values()) >= 300, seen
+    assert len(seen) == 13, seen
+
+
+def test_separator_tableau_stores_each_column_once(monkeypatch):
+    """Work gate: the separator LP's w- columns negate its w+ columns and its
+    slack columns are -e_v, so its tableau stores dim + k + 1 columns, the
+    right-hand side included, where the full tableau has 2 dim + 2 k + 1;
+    every pivot rewrites only the stored columns."""
+    shapes = []
+    real = exactlp._tableau
+
+    def spy(rows, n):
+        T, red, order = real(rows, n)
+        shapes.append((len(T[0]), len(red), len(order)))
+        return T, red, order
+
+    monkeypatch.setattr(exactlp, "_tableau", spy)
+    u = (3, 1, 2)
+    pts = [(0, 0, 0), (1, 2, 0), (0, 1, 3), (2, -1, 1)]
+    w = strict_separator(u, pts)
+    dim, k = len(u), len(pts)
+    assert shapes == [(dim + k + 1, dim + k + 1, 2 * dim + 2 * k)]
+    uw = sum(a * c for a, c in zip(u, w))
+    assert all(uw >= 1 + sum(a * c for a, c in zip(v, w)) for v in pts)
+    monkeypatch.undo()
+    assert w == strict_separator(u, pts)
 
 
 def _fraction_calls(fn):

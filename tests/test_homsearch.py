@@ -19,6 +19,7 @@ from tropfan import homsearch, lattice as lattice_module
 from tropfan.fan import direction_classes, primitive
 
 from helpers import (B1, B2, FAN_X, FAN_Y, MG_ROWS, box_hom_oracle, column_permutations,
+                     definitional_hom_oracle,
                      genmatrix_x, genmatrix_y, lattice_y, random_degree_zero_row,
                      random_int_vector,
                      random_primitive_direction, random_source_with_classes,
@@ -385,6 +386,19 @@ class TestCompleteness:
             assert enum.expand(6) == box_hom_oracle(gm, s, lattice, 6)
             done += not enum.inexhaustive
 
+    @pytest.mark.parametrize("source, bound, tried, found", [
+        (genmatrix_y(), 2, 361, 1), (genmatrix_y(), 3, 1369, 7), (genmatrix_x(), 1, 343, 1)],
+        ids=["Y-2", "Y-3", "X-1"])
+    def test_definitional_oracle(self, source, bound, tried, found):
+        # the paper's theorem checked, not assumed: every degree-zero image
+        # matrix in the box is a homomorphism or refuted by a witness pair,
+        # and the homomorphisms are expand's and the geometric box oracle's
+        # (only the zero matrix in the two smallest boxes)
+        homs, refused = definitional_hom_oracle(source, 3, bound)
+        assert len(homs) == found and refused == tried - found
+        assert homs == enumerate_homs(source, 3).expand(bound) == box_hom_oracle(
+            source, 3, None, bound)
+
 
 class TestHomFromImages:
     def test_application(self):
@@ -517,7 +531,9 @@ class TestEnumerateMorphisms:
 
     def test_generator_rows_brought_to_hnf_once(self, monkeypatch):
         # work gate: the target lattice, the families' T and expand_T share
-        # one HNF of the generator rows MG, where there were three; the
+        # one HNF of the generator rows MG, where there were three, and the
+        # lattice takes that HNF as its basis without another run; the only
+        # other HNF is the transposed basis behind Lattice.forms.  The
         # shared solve gives solve_int's canonical T
         calls = []
         real = lattice_module.hnf
@@ -531,7 +547,8 @@ class TestEnumerateMorphisms:
         menum = enumerate_morphisms(FAN_Y, FAN_X)
         Ts = menum.expand_T(8)
         assert menum.target_gens.matrix() == MG_ROWS
-        assert calls.count(MG_ROWS) <= 1
+        basis = menum.homs.target_lattice.basis
+        assert calls == [MG_ROWS, tuple(zip(*basis))]
         monkeypatch.undo()
         assert len(Ts) == 17
         # a copy built without enumerate_morphisms finds the transform itself

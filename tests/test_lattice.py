@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -148,6 +149,48 @@ def test_from_rows_runs_hnf_once(monkeypatch):
     assert len(calls) == 2  # the first membership question computes the forms
     L.least_multiplier((1, 0, -1))
     assert len(calls) == 2
+
+
+def test_canonical_rows_skip_hnf(monkeypatch):
+    """Rows already in canonical row HNF become the basis without an hnf
+    call and give the Lattice the HNF path gives; rows that break one
+    condition of the form (a negative pivot, an entry above a pivot out of
+    [0, pivot), a zero row above a nonzero one, rows out of echelon order)
+    still go through hnf to the same basis."""
+    rng = random.Random(20261021)
+    real = lattice_module.hnf
+    calls = []
+    monkeypatch.setattr(lattice_module, "hnf", lambda rows: calls.append(rows) or real(rows))
+    seen = Counter()
+    for _ in range(500):
+        ambient = rng.randint(1, 5)
+        rows = [[rng.choice((0, 0, rng.randint(-5, 5))) for _ in range(ambient)]
+                for _ in range(rng.randint(1, 4))]
+        H = [list(r) for r in real(rows)[0]]
+        want = tuple(tuple(r) for r in H if any(r))
+        cases = [(H, "canonical"), (rows, "given")]
+        nonzero = [i for i, r in enumerate(H) if any(r)]
+        if nonzero:
+            i = rng.choice(nonzero)
+            cases.append((H[:i] + [[-e for e in H[i]]] + H[i + 1:], "negative pivot"))
+            if len(nonzero) < len(H):
+                cases.append(([H[-1]] + H[:-1], "zero row first"))
+        if len(nonzero) > 1:
+            i = rng.choice(nonzero[1:])
+            k, t = rng.randrange(i), rng.choice((-1, 1))
+            bumped = [list(r) for r in H]
+            bumped[k] = [a + t * b for a, b in zip(H[k], H[i])]
+            cases.append((bumped, "entry above a pivot"))
+            cases.append((H[1:2] + H[:1] + H[2:], "out of order"))
+        for M, kind in cases:
+            canonical = is_row_hnf(M)
+            assert canonical == (kind == "canonical" or (kind == "given" and M == H)), (M, kind)
+            calls.clear()
+            L = Lattice(ambient, M)
+            assert L.basis == want and L == Lattice(ambient, want)
+            assert len(calls) == (not canonical)
+            seen[kind] += 1
+    assert min(seen.values()) >= 100, seen
 
 
 def test_forms_examples():

@@ -21,13 +21,13 @@ from .tropoly import TropPoly, fn_eq_on_rays
 
 def primitive(d: Sequence[int]) -> tuple[int, ...]:
     """Divide an integer vector by the gcd of its entries; orientation kept."""
-    d = tuple(map(exact_int, d))
-    g = 0
-    for e in d:
-        g = gcd(g, e)
+    d = tuple(d)
+    if set(map(type, d)) - {int}:
+        d = tuple(map(exact_int, d))
+    g = gcd(*d)
     if g == 0:
         raise ValueError("the zero vector spans no ray")
-    return tuple(e // g for e in d)
+    return d if g == 1 else tuple(e // g for e in d)
 
 
 def json_int(value, what: str) -> int:

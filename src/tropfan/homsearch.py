@@ -55,6 +55,7 @@ from .fan import (Fan1D, GenMatrix, check_balancing, direction_classes, primitiv
 from .lattice import Lattice, hnf, solve_int
 from .maxplus import TropVector, exact_int
 from .tropoly import TropPoly, substitute_units
+from .witness import WitnessPair, separating_pair, verify_witness
 
 IntMatrix = tuple[tuple[int, ...], ...]
 Assignment = tuple[Optional[int], ...]
@@ -62,7 +63,19 @@ Circuit = tuple[tuple[int, ...], tuple[int, ...]]  # (class labels, coefficients
 
 
 class NotGeometricError(ValueError):
-    """Images admit no homomorphism: some column matches no source column."""
+    """Images admit no homomorphism: some column matches no source column.
+
+    label is the first target label whose image column lies off the source
+    ray union, and witness a verified separating pair at that column: its f
+    and g agree on every source column, so any homomorphism sends them to
+    the same vector, yet the images give them different values at label.
+    """
+
+    def __init__(self, message: str, label: Optional[int] = None,
+                 witness: Optional[WitnessPair] = None):
+        super().__init__(message)
+        self.label = label
+        self.witness = witness
 
 
 def _scale_matrix(M: IntMatrix, s: int) -> IntMatrix:
@@ -79,18 +92,26 @@ def geometric_check(images: Sequence[TropVector],
     as (None, 0); otherwise the class's lowest label is chosen.  Returns None
     when some column matches nothing.
     """
+    matched = _match_columns(images, source)
+    return None if isinstance(matched, int) else matched
+
+
+def _match_columns(images: Sequence[TropVector], source: GenMatrix
+                   ) -> list[tuple[Optional[int], Fraction]] | int:
+    """geometric_check's witnesses, or the first label whose column matches
+    nothing."""
     rows = list(images)
     if len(rows) != source.n:
         raise ValueError(f"expected {source.n} image rows, got {len(rows)}")
     lowest = {d: a for a, d in direction_classes(source)}
     witnesses = []
-    for col in GenMatrix(rows).columns():
+    for b, col in enumerate(GenMatrix(rows).columns()):
         if not any(col):
             witnesses.append((None, Fraction(0)))
             continue
         a = lowest.get(primitive(col))
         if a is None:
-            return None
+            return b
         i = next(i for i, e in enumerate(col) if e)
         witnesses.append((a, Fraction(col[i], source.rows[i][a])))
     return witnesses
@@ -481,14 +502,19 @@ def hom_from_images(images: Sequence[TropVector], source: GenMatrix) -> Hom:
 
     Existence requires (and is guaranteed by) the geometric condition on the
     image columns; otherwise NotGeometricError is raised because no
-    homomorphism has those images.
+    homomorphism has those images, certified by a separating pair at the
+    first column off the source ray union.
     """
-    witnesses = geometric_check(images, source)
-    if witnesses is None:
+    matched = _match_columns(images, source)
+    if isinstance(matched, int):
+        dirs = [col for col in source.columns() if any(col)]
+        pair = separating_pair(dirs, tuple(v[matched] for v in images))
+        if not verify_witness(pair, dirs):
+            raise AssertionError("constructed witness failed verification")
         raise NotGeometricError(
             "no homomorphism: some image column is not a nonnegative multiple "
-            "of a source column")
-    return Hom(source, images, witnesses)
+            "of a source column", matched, pair)
+    return Hom(source, images, matched)
 
 
 def apply_functor(T: Sequence[Sequence[int]], target_gens: GenMatrix) -> tuple[TropVector, ...]:

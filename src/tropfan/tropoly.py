@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -50,7 +51,11 @@ class TropPoly:
         dim = exact_int(dim)
         if dim < 1:
             raise ValueError("ambient dimension must be positive")
-        mono = frozenset(tuple(map(exact_int, u)) for u in monomials)
+        # the types are read before the frozenset dedups, since 1.0 == 1
+        mono = [tuple(u) for u in monomials]
+        if set(map(type, chain.from_iterable(mono))) - {int}:
+            mono = [tuple(map(exact_int, u)) for u in mono]
+        mono = frozenset(mono)
         for u in mono:
             if len(u) != dim:
                 raise ValueError(f"exponent vector {u} has length != {dim}")

@@ -3,10 +3,12 @@
 Given a finite union of rational rays Z and a rational point p outside it,
 there is a pair of polynomial functions that agree everywhere on Z yet differ
 at p; this certifies that the points indistinguishable by all Z-agreeing
-pairs are exactly Z itself.  The construction is direct: take an integer
-basis of the hyperplane orthogonal to p, blow it up by a factor K large
-enough to dominate every Z-direction that has positive inner product with p,
-and adjoin the p-direction monomial to one side only.
+pairs are exactly Z itself.  The construction is direct: take the canonical
+integer basis of the hyperplane orthogonal to p (built row by row from
+Bezout coefficients, with no generic Hermite form), blow it up by a factor K
+large enough to dominate every Z-direction that has positive inner product
+with p, and adjoin the p-direction monomial to one side only.  Everything is
+int arithmetic once the point is integerized.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from numbers import Rational
+from operator import mul
 from typing import Optional, Sequence
 
 from .fan import primitive
-from .lattice import hnf
+from .lattice import xgcd
 from .maxplus import exact_rational
 from .tropoly import TropPoly
 
@@ -36,21 +39,51 @@ def integerize(p: Sequence[Rational]) -> tuple[int, ...]:
 def orth_basis(p: Sequence[Rational]) -> list[tuple[int, ...]]:
     """An integer basis of the lattice orthogonal to p (n-1 vectors).
 
-    Rows 2..n of the unimodular transform that puts the column vector of
-    p's primitive direction into Hermite form span the full integer kernel;
-    the result is re-canonicalized through HNF.  Empty in dimension 1.
+    The basis is the canonical row Hermite form of the full integer kernel
+    of p's primitive direction, built directly by _kernel_basis.  Empty in
+    dimension 1.
     """
     return _kernel_basis(integerize(p))
 
 
 def _kernel_basis(d: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """orth_basis of the primitive integer direction d."""
+    """Canonical row HNF of ker(d) = {x in Z^n : d . x = 0}, d nonzero.
+
+    With t the last index where d_t != 0, every column but t is a pivot
+    column, and the row of pivot j > t is e_j.  For j = t-1 down to 0 the
+    row of pivot j is the kernel vector supported on j..t with the least
+    positive j-th entry: with g = gcd(d_{j+1..t}) = sum c_i d_i and
+    h = gcd(d_j, g) = x d_j + y g, it is g/h at j and -(d_j/h) c_i at
+    i = j+1..t.  Its entries in the pivot columns j+1..t-1 are then reduced,
+    in increasing order, into [0, pivot) by the rows already built, and the
+    Bezout coefficients become c <- y c, c_j <- x.
+    """
     n = len(d)
-    if n == 1:
-        return []
-    _, U = hnf([(e,) for e in d])
-    kernel, _ = hnf(U[1:])
-    return [row for row in kernel if any(row)]
+    t = max(i for i, e in enumerate(d) if e)
+    g = abs(d[t])
+    c = [0] * n
+    c[t] = 1 if d[t] > 0 else -1
+    rows: list[list[int]] = [[]] * t
+    for j in range(t - 1, -1, -1):
+        h, x, y = xgcd(d[j], g)
+        m = d[j] // h
+        row = [0] * n
+        row[j] = g // h
+        for i in range(j + 1, t + 1):
+            row[i] = -m * c[i]
+        for k in range(j + 1, t):
+            rk = rows[k]
+            q = row[k] // rk[k]
+            if q:
+                for i in range(k, t + 1):
+                    row[i] -= q * rk[i]
+        rows[j] = row
+        for i in range(j + 1, t + 1):
+            c[i] *= y
+        c[j] = x
+        g = h
+    return [tuple(row) for row in rows] + [
+        tuple(int(i == j) for i in range(n)) for j in range(t + 1, n)]
 
 
 @dataclass(frozen=True)
@@ -107,10 +140,10 @@ def separating_pair(z_dirs: Sequence[Sequence[int]],
     n = len(d1)
     K = 1
     for d in dirs:
-        up = sum(a * b for a, b in zip(d1, d))
+        up = sum(map(mul, d1, d))
         if up <= 0:
             continue
-        denom = max(abs(sum(a * b for a, b in zip(e, d))) for e in basis)
+        denom = max(abs(sum(map(mul, e, d))) for e in basis)
         K = max(K, 1 + _ceil_div(up, denom))
     monos = [(0,) * n]
     for e in basis:

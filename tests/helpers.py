@@ -173,15 +173,16 @@ def definitional_hom_oracle(source: GenMatrix, target_size: int, bound: int):
     Every matrix is tried, with no geometric filter.  hom_from_images
     accepts exactly the matrices whose columns all lie on the source ray
     union, and those respect every relation, since the polynomials are
-    positively homogeneous.  A matrix it refuses must have a column off the
-    ray union where separating_pair gives f and g with
-    substitute_units(f, source rows) == substitute_units(g, source rows)
-    that differ at the column (checked by reference_eval too), so no
+    positively homogeneous.  A matrix it refuses carries the first label
+    whose column is off the ray union, and there the error's witness pair
+    (the reference pair, built by reference_separating_pair) has f and g
+    with substitute_units(f, source rows) == substitute_units(g, source
+    rows) that differ at the column (checked by reference_eval too), so no
     homomorphism has those images; the refused matrices are counted.
     """
     import itertools
     from tropfan import (NotGeometricError, PointInSupportError, TropVector,
-                         hom_from_images, separating_pair, substitute_units)
+                         hom_from_images, substitute_units)
 
     dirs = [col for col in source.columns() if any(col)]
     rows = [r for r in itertools.product(range(-bound, bound + 1), repeat=target_size)
@@ -191,23 +192,23 @@ def definitional_hom_oracle(source: GenMatrix, target_size: int, bound: int):
         images = [TropVector(r) for r in M]
         try:
             hom_from_images(images, source)
-        except NotGeometricError:
-            pass
+        except NotGeometricError as err:
+            b, w = err.label, err.witness
         else:
             homs.add(M)
             continue
-        for b, col in enumerate(zip(*M)):
+        cols = list(zip(*M))
+        for col in cols[:b]:
             try:
-                w = separating_pair(dirs, col)
+                reference_separating_pair(dirs, col)
             except PointInSupportError:
                 continue
-            assert substitute_units(w.f, source.rows) == substitute_units(w.g, source.rows)
-            assert substitute_units(w.f, images)[b] != substitute_units(w.g, images)[b]
-            assert reference_eval(w.f, col) != reference_eval(w.g, col)
-            refused += 1
-            break
-        else:
-            raise AssertionError(f"{M} refused with every column on the ray union")
+            raise AssertionError(f"{M} refused at label {b}, after an off-union column")
+        assert w == reference_separating_pair(dirs, cols[b])
+        assert substitute_units(w.f, source.rows) == substitute_units(w.g, source.rows)
+        assert substitute_units(w.f, images)[b] != substitute_units(w.g, images)[b]
+        assert reference_eval(w.f, cols[b]) != reference_eval(w.g, cols[b])
+        refused += 1
     return homs, refused
 
 
@@ -576,12 +577,25 @@ def _reference_integerize(p):
     return primitive([int(e * scale) for e in fr])
 
 
+def reference_kernel_basis(d):
+    """orth_basis of a nonzero integer direction by two generic HNF runs:
+    rows 2..n of the unimodular transform that puts the column vector of d
+    into Hermite form span the integer kernel, and a second HNF makes that
+    basis canonical.  Kept as the kernel oracle."""
+    from tropfan.lattice import hnf
+
+    if len(d) == 1:
+        return []
+    _, U = hnf([(e,) for e in d])
+    kernel, _ = hnf(U[1:])
+    return [row for row in kernel if any(row)]
+
+
 def reference_separating_pair(z_dirs, p):
     """separating_pair with Fraction products: the point is integerized by
     multiplying each entry by the scale, once for its direction and once
     more for the orthogonal basis.  Kept as the witness oracle."""
     from tropfan import PointInSupportError, WitnessPair, primitive
-    from tropfan.lattice import hnf
     from tropfan.maxplus import exact_rational
 
     point = tuple(map(exact_rational, p))
@@ -594,11 +608,7 @@ def reference_separating_pair(z_dirs, p):
     if d1 in dirs:
         raise PointInSupportError(f"point direction {d1} lies in the ray union")
     n = len(d1)
-    basis = []
-    if n > 1:
-        _, U = hnf([(e,) for e in _reference_integerize(point)])
-        kernel, _ = hnf(U[1:])
-        basis = [row for row in kernel if any(row)]
+    basis = reference_kernel_basis(_reference_integerize(point))
     K = 1
     for d in dirs:
         up = sum(a * b for a, b in zip(d1, d))

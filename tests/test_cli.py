@@ -21,6 +21,18 @@ from helpers import MG_ROWS, box_hom_oracle, genmatrix_x, lattice_y
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
 SRC = Path(__file__).resolve().parent.parent / "src"
+DEMO_FANS = Path(__file__).resolve().parent.parent / "demos" / "fans"
+
+# `tropfan witness` output on the demo fans (fan5_r3 is the 5-ray fan X)
+PINNED_WITNESSES = [
+    ("fan3_r2.json", "1/2,3",
+     '{"f": [[-18, 3], [0, 0], [18, -3]], "g": [[-18, 3], [0, 0], [1, 6], [18, -3]], '
+     '"point": ["1/2", "3"], "K": 3}'),
+    ("fan5_r3.json", "1/2,1/3,-5",
+     '{"f": [[-62, -372, -31], [0, -465, -31], [0, 0, 0], [0, 465, 31], [62, 372, 31]], '
+     '"g": [[-62, -372, -31], [0, -465, -31], [0, 0, 0], [0, 465, 31], [3, 2, -30], '
+     '[62, 372, 31]], "point": ["1/2", "1/3", "-5"], "K": 31}'),
+]
 
 X_FAN = {
     "ambient_dim": 3,
@@ -287,6 +299,11 @@ class TestWitness:
         data = json.loads(out)
         assert set(data) == {"f", "g", "point", "K"}
         assert data["point"] == ["1", "1", "0"]
+
+    @pytest.mark.parametrize("fan, point, line", PINNED_WITNESSES, ids=["fan3_r2", "fan5_r3"])
+    def test_pinned_bytes(self, fan, point, line):
+        # the same lines are pinned in CI against the installed console script
+        assert run("witness", str(DEMO_FANS / fan), point) == (0, line + "\n", "")
 
     def test_rational_point(self, fan_files):
         x, _ = fan_files

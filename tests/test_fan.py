@@ -30,8 +30,21 @@ class TestPrimitive:
         with pytest.raises(ValueError, match="expected an integer"):
             primitive(bad)
 
+    @pytest.mark.parametrize("bad", [(2, 4.0), (True, 0)])
+    def test_inexact_entry_of_an_integral_vector_rejected(self, bad):
+        # 4.0 and True compare equal to ints; the type check must still see them
+        with pytest.raises(ValueError, match="expected an integer"):
+            primitive(bad)
+
     def test_integral_rationals_accepted(self):
         assert primitive((Fraction(4, 2), 4)) == (1, 2)
+        d = primitive((Fraction(6, 3), 4))
+        assert d == (1, 2) and all(type(e) is int for e in d)
+
+    def test_primitive_input_returned_as_is(self):
+        d = (3, -5, 0, 7)
+        assert primitive(d) is d
+        assert primitive([3, -5]) == (3, -5)
 
 
 class TestFanValidation:

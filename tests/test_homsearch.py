@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import hashlib
 import itertools
 import json
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -14,7 +16,7 @@ from tropfan import (Fan1D, GenMatrix, Lattice, LatticeSpanError, NotGeometricEr
                      TropPoly, TropVector, apply_functor, enumerate_homs,
                      enumerate_morphisms, geometric_check, hom_from_images,
                      parse_poly, recover_T, separating_pair, solve_int, substitute_units,
-                     weighted_eval_map)
+                     verify_witness, weighted_eval_map)
 from tropfan import homsearch, lattice as lattice_module
 from tropfan.fan import direction_classes, primitive
 
@@ -420,6 +422,36 @@ class TestHomFromImages:
         images = vecs(((1, 0, 0), (0, 0, 0), (0, 0, 0)))
         with pytest.raises(NotGeometricError):
             hom_from_images(images, genmatrix_x())
+
+    def test_rejection_is_certified(self):
+        # column 0 is on the ray union, column 1 is the first one off it
+        gm = genmatrix_x()
+        M = ((2, -1, 0, 0, -1), (0, 1, 0, 0, -1), (2, 4, 2, 2, -10))
+        with pytest.raises(NotGeometricError) as info:
+            hom_from_images(vecs(M), gm)
+        err = info.value
+        assert str(err) == ("no homomorphism: some image column is not a "
+                            "nonnegative multiple of a source column")
+        assert err.label == 1
+        dirs = [col for col in gm.columns() if any(col)]
+        assert err.witness == separating_pair(dirs, (-1, 1, 4))
+        assert verify_witness(err.witness, dirs)
+        f, g = err.witness.f, err.witness.g
+        assert substitute_units(f, gm.rows) == substitute_units(g, gm.rows)
+        assert substitute_units(f, vecs(M))[1] != substitute_units(g, vecs(M))[1]
+        for again in (copy.copy(err), copy.deepcopy(err),
+                      *(pickle.loads(pickle.dumps(err, protocol))
+                        for protocol in range(pickle.HIGHEST_PROTOCOL + 1))):
+            assert type(again) is NotGeometricError and str(again) == str(err)
+            assert (again.label, again.witness) == (1, err.witness)
+
+    def test_other_rejections_keep_their_reasons(self):
+        with pytest.raises(ValueError, match="expected 3 image rows") as info:
+            hom_from_images(vecs(((1, -1, 0, 0, 0),)), genmatrix_x())
+        assert not isinstance(info.value, NotGeometricError)
+        with pytest.raises(ValueError, match="different label sets") as info:
+            hom_from_images(vecs(((1, -1, 0, 0, 0), (0, 0), (0, 0, 0, 0, 0))), genmatrix_x())
+        assert not isinstance(info.value, NotGeometricError)
 
     def test_zero_polynomial_maps_to_bottom(self):
         hom = hom_from_images(vecs(scale_matrix(B1, 4)), genmatrix_x())

@@ -56,6 +56,32 @@ def test_non_integer_exponents_rejected(bad):
         TropPoly(2, [bad])
 
 
+@pytest.mark.parametrize("monomials", [[(1, 0), (1.0, 0)], [(1, 0), (True, 0)]], ids=repr)
+def test_inexact_duplicate_of_an_int_exponent_rejected(monomials):
+    # 1.0 == 1 and True == 1, so a check after the frozenset dedups could
+    # keep the int tuple and never see the float or the bool
+    with pytest.raises(ValueError, match="expected an integer"):
+        TropPoly(2, monomials)
+
+
+def test_integral_rational_exponents_become_ints():
+    p = TropPoly(2, [(Fraction(4, 2), 0)])
+    assert p.monomials == {(2, 0)}
+    assert all(type(e) is int for u in p.monomials for e in u)
+
+
+def test_int_exponents_checked_once(monkeypatch):
+    # one type check for all int exponents: exact_int only sees the dim
+    calls = []
+    real = tropfan.tropoly.exact_int
+    monkeypatch.setattr(tropfan.tropoly, "exact_int",
+                        lambda v: calls.append(v) or real(v))
+    TropPoly(3, [(0, 0, 0), (4, -2, 1), (-4, 2, -1), (1, 1, 0)])
+    assert calls == [3]
+    TropPoly(2, [(1, Fraction(2))])
+    assert calls == [3, 2, 1, 2]
+
+
 @pytest.mark.parametrize("dim", [2.0, True, "2"])
 def test_non_integer_dimension_rejected(dim):
     for make in (lambda: TropPoly(dim, [(0, 1)]), lambda: TropPoly.one(dim),

@@ -2,9 +2,12 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+import tropfan.lattice
+import tropfan.witness
 from tropfan import (PointInSupportError, TropPoly, WitnessPair, fn_eq_on_rays,
                      fn_eq_on_space, in_congruence_variety, integerize,
                      orth_basis, separating_pair, verify_witness)
@@ -12,7 +15,8 @@ from tropfan.lattice import hnf
 from tropfan.witness import witness_to_json
 
 from helpers import (FAN_X, random_primitive_direction, random_rational_point,
-                     reference_separating_pair, reference_verify_witness)
+                     reference_kernel_basis, reference_separating_pair,
+                     reference_verify_witness)
 
 
 class TestIntegerize:
@@ -36,6 +40,33 @@ def test_inexact_coordinates_rejected(p):
                  lambda q: in_congruence_variety(q, FAN_X.directions)):
         with pytest.raises(ValueError, match="expected an integer or a Fraction"):
             call(p)
+
+
+def kernel_cases(rng, count):
+    """Seeded primitive vectors of length 1..6 with zeros leading, trailing
+    and inside, single nonzero entries, negatives and entries above 2**64."""
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 6)
+        big = rng.random() < 0.3
+        d = [rng.randint(-2**70, 2**70) if big and rng.random() < 0.5 else rng.randint(-9, 9)
+             for _ in range(n)]
+        shape = rng.randrange(5)
+        if shape == 0:
+            d[:rng.randint(1, n)] = []
+            d = [0] * (n - len(d)) + d
+        elif shape == 1:
+            d[rng.randint(0, n - 1):] = []
+            d += [0] * (n - len(d))
+        elif shape == 2 and n > 2:
+            d[rng.randint(1, n - 2)] = 0
+        elif shape == 3:
+            d = [0] * n
+            d[rng.randrange(n)] = rng.choice([1, -1])
+        g = gcd(*d)
+        if g:
+            out.append(tuple(e // g for e in d))
+    return out
 
 
 class TestOrthBasis:
@@ -66,6 +97,17 @@ class TestOrthBasis:
                 H, _ = hnf(basis)
                 assert sum(1 for row in H if any(row)) == n - 1
 
+    def test_matches_two_hnf_reference(self):
+        cases = kernel_cases(random.Random(97), 20000)
+        assert sum(len(d) > 1 and d[0] == 0 for d in cases) >= 2000
+        assert sum(len(d) > 1 and d[-1] == 0 for d in cases) >= 2000
+        assert sum(0 in d[1:-1] for d in cases) >= 2000
+        assert sum(sum(map(bool, d)) == 1 for d in cases) >= 2000
+        assert sum(min(d) < 0 for d in cases) >= 10000
+        assert sum(max(map(abs, d)) > 2**64 for d in cases) >= 2000
+        for d in cases:
+            assert orth_basis(d) == reference_kernel_basis(d), d
+
     def test_kernel_is_saturated(self):
         # the basis must span the whole integer kernel, not a finite-index
         # sublattice: any integer kernel vector must be an integer combination
@@ -91,6 +133,18 @@ class TestSeparatingPair:
         assert w.g.monomials == w.f.monomials | {(0, 1)}
         assert w.f.eval((1, 0)) == w.g.eval((1, 0)) == 1
         assert w.f.eval((0, 1)) == 0 and w.g.eval((0, 1)) == 1
+
+    def test_no_generic_hnf(self, monkeypatch):
+        # the kernel basis is built directly; the two-HNF construction made
+        # two hnf calls per pair
+        calls = []
+        real = tropfan.lattice.hnf
+        monkeypatch.setattr(tropfan.lattice, "hnf", lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr(tropfan.witness, "hnf", tropfan.lattice.hnf, raising=False)
+        dirs = list(FAN_X.directions)
+        w = separating_pair(dirs, (Fraction(1, 2), Fraction(1, 3), -5))
+        assert verify_witness(w, dirs)
+        assert calls == []
 
     def test_degenerate_union(self):
         w = separating_pair([], (1,))

@@ -26,7 +26,8 @@ vectors, and lay each multiset from one table of layouts per count shape.
 Records share each circuit's sorted placements, and the JSON lines dump
 each distinct placement matrix once.  An expansion solves one bounded
 kernel per class set, over the class totals, spreads the totals over the
-slots, and keeps the points whose rows meet a target lattice's forms.
+slots, keeps the points whose rows meet a target lattice's forms, and lays
+each with _place, as the families are laid.
 
 An enumeration holds thousands of per-member results (HomFamily, ConeRecord,
 MorphismFamily), and the cyclic collector walks every one of them on each
@@ -44,7 +45,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, reduce
+from functools import cache, reduce
 from math import gcd, prod
 from operator import itemgetter, mul, or_, sub
 from typing import Iterable, Optional, Sequence
@@ -186,14 +187,6 @@ def _circuit_table(reps: list[tuple[int, tuple[int, ...]]], n: int,
     return tuple(tuple(zip(*((a, t) for (a, _), t in zip(reps, ray) if t))) for ray in rays)
 
 
-def _matrix_from_ray(sigma: Assignment, ray: Sequence[int],
-                     class_dirs: dict[int, tuple[int, ...]], n: int) -> IntMatrix:
-    scales = iter(ray)  # one per assigned slot, in slot order
-    zero = (0,) * n
-    return tuple(zip(*[zero if a is None else tuple(map(next(scales).__mul__, class_dirs[a]))
-                       for a in sigma]))
-
-
 def _place(template: Sequence[tuple[int, ...]], positions: Sequence[int], m: int) -> IntMatrix:
     """The matrix whose column positions[j] is template[j], zero elsewhere."""
     cols = [(0,) * len(template[0])] * m
@@ -329,7 +322,8 @@ class HomEnumeration:
         with sum_a T_a d_a = 0 and T_a in [1, (m - |S| + 1) * limit_a],
         limit_a = entry_bound // max|d_a|; per count vector c over at most m
         slots, each T_a is spread into c_a ordered parts in [1, limit_a],
-        placed at every layout, and kept if its rows meet the lattice's forms."""
+        placed at every layout, kept if its rows meet the lattice's forms,
+        and laid with _place from the columns t * d_a of a per-call table."""
         entry_bound = exact_int(entry_bound)
         if entry_bound < 0:
             raise ValueError("entry bound must be nonnegative")
@@ -338,6 +332,9 @@ class HomEnumeration:
         live = sorted({a for labels, _ in self.circuits for a in labels})
         psi, P = (None, 1) if L is None else _lattice_columns(L, class_dirs, live)
         limit = {a: entry_bound // max(map(abs, class_dirs[a])) for a in live}
+        # column[a][t] is t * d_a, for every part t a slot of class a can take
+        column = {a: [tuple(t * e for e in class_dirs[a]) for t in range(limit[a] + 1)]
+                  for a in live}
         spread, layouts = cache(_compositions), cache(_layouts)  # built once per call
         totals: dict[tuple[int, ...], list] = {}  # class set -> positive class totals
         out = {self.zero_matrix}
@@ -352,16 +349,13 @@ class HomEnumeration:
             if not points:
                 continue
             classes = [a for a, k in zip(S, counts) for _ in range(k)]
-            for key, slots in layouts(shape):
+            cols = [column[a] for a in classes]
+            for _, slots in layouts(shape):
                 at = [b for a, bs in zip(vals, slots) if a is not None for b in bs]
                 kept = points if psi is None else _lattice_points(
                     points, [psi[a][b] for a, b in zip(classes, at)], P)
-                if not kept:
-                    continue
-                sigma = tuple(vals[i] for i in key)
                 for k in kept:
-                    ray = [t for _, t in sorted(zip(at, k))]
-                    out.add(_matrix_from_ray(sigma, ray, class_dirs, n))
+                    out.add(_place([col[t] for col, t in zip(cols, k)], at, m))
         return out
 
     def to_json_lines(self) -> list[str]:
@@ -568,11 +562,14 @@ class MorphismFamily(_Slotted):
 @dataclass(frozen=True)
 class MorphismEnumeration:
     """All linear maps defining morphisms from one fan to another: the zero
-    map, T-families, and any propagated cone records."""
+    map, T-families, and any propagated cone records.  transform is U with
+    U * (target generator rows) = their HNF, the target lattice's basis;
+    expand_T reads it to rewrite members in generator coordinates."""
 
     homs: HomEnumeration
     target_gens: GenMatrix
     families: tuple[MorphismFamily, ...]
+    transform: IntMatrix
 
     @property
     def cone_records(self) -> tuple[ConeRecord, ...]:
@@ -582,18 +579,13 @@ class MorphismEnumeration:
     def inexhaustive(self) -> bool:
         return self.homs.inexhaustive
 
-    @cached_property
-    def _transform(self) -> IntMatrix:
-        """U with U * (target generator rows) = their HNF (enumerate_morphisms')."""
-        return hnf(self.target_gens.matrix())[1]
-
     def expand_T(self, entry_bound: int) -> set[IntMatrix]:
         """The morphism matrices T, the zero map included, whose image
         matrix T * (target generator rows) has every entry in
         [-entry_bound, entry_bound]: the members of homs.expand, rewritten
         in generator coordinates by the canonical integer solve."""
         L = self.homs.target_lattice
-        return {_gen_coords(L, self._transform, M) for M in self.homs.expand(entry_bound)}
+        return {_gen_coords(L, self.transform, M) for M in self.homs.expand(entry_bound)}
 
     def to_json_lines(self) -> list[str]:
         return _json_lines(({"kind": "family",
@@ -623,9 +615,7 @@ def enumerate_morphisms(from_fan: Fan1D, to_fan: Fan1D) -> MorphismEnumeration:
     enum = enumerate_homs(MF, from_fan.n_rays, lattice)
     fams = sorted((MorphismFamily(fam.assignment, _gen_coords(lattice, U, fam.minimal_member))
                    for fam in enum.families), key=MorphismFamily.sort_key)
-    out = MorphismEnumeration(enum, MG, tuple(fams))
-    vars(out)["_transform"] = U  # the cached_property's slot: expand_T reuses U
-    return out
+    return MorphismEnumeration(enum, MG, tuple(fams), U)
 
 
 def _gen_coords(L: Lattice, U: IntMatrix, M: IntMatrix) -> IntMatrix:

@@ -11,8 +11,8 @@ the basis pivots, and Q, P times the inverse of the pivot submatrix.  A
 vector v is a member exactly when W v = 0 and P divides every entry of
 v Q; its coefficients are v Q / P, and its least multiplier into the
 lattice is P / gcd(P, v Q).  HomEnumeration.expand reads the same forms to
-keep only the kernel points whose matrices are members.  solve_int reduces
-its targets against the HNF row by row instead.
+keep only the kernel points whose matrices are members, and solve_int
+reads them on the lattice of its own rows, whose HNF it already holds.
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ class LatticeSolveError(ValueError):
     def __init__(self, row_index: int, message: str | None = None):
         self.row_index = row_index
         super().__init__(message or f"target row {row_index} is not in the lattice")
+
+    def __reduce__(self):  # ValueError's passes the message as the row index
+        return type(self), (self.row_index, self.args[0]), self.__dict__
 
 
 class LatticeSpanError(ValueError):
@@ -131,24 +134,16 @@ def _is_hnf(H: Sequence[Sequence[int]]) -> bool:
     return True
 
 
-def _reduce_against(H: IntMatrix, v: Sequence[int]):
-    """Forward-substitute the integer vector v against echelon H.
-
-    Returns (coeffs, residue): coeffs has one int per row of H (zero for
-    zero rows), or is None when some pivot fails to divide the entry it
-    meets.  ValueError for a non-integer entry of v.
-    """
-    vv = [exact_int(e) for e in v]
+def _reduce_against(H: IntMatrix, v: Sequence[int]) -> list[int]:
+    """Forward-substitute the integer vector v against echelon H, when every
+    pivot divides the entry it meets: one coefficient per row of H (zero
+    for zero rows)."""
     coeffs = [0] * len(H)
     for i, j in _pivots(H):
-        p = H[i][j]
-        if vv[j] % p != 0:
-            return None, vv
-        q = vv[j] // p
+        q = coeffs[i] = v[j] // H[i][j]
         if q:
-            vv = [e - q * f for e, f in zip(vv, H[i])]
-        coeffs[i] = q
-    return coeffs, vv
+            v = [e - q * f for e, f in zip(v, H[i])]
+    return coeffs
 
 
 @dataclass(frozen=True, repr=False)
@@ -205,7 +200,7 @@ class Lattice:
         H, m = self.basis, self.ambient
         _, U = hnf([[row[j] for row in H] for j in range(m)])
         P = prod(H[i][j] for i, j in _pivots(H))
-        Qt = zip(*(_reduce_against(H, [P * (i == j) for i in range(m)])[0] for j in range(m)))
+        Qt = zip(*(_reduce_against(H, [P * (i == j) for i in range(m)]) for j in range(m)))
         return U[self.rank:], P, tuple(Qt)
 
     def _vector(self, v: Sequence[int]) -> list[int]:
@@ -248,22 +243,23 @@ def solve_int(rows: Sequence[Sequence[int]], targets: Sequence[Sequence[int]]) -
 
     Returns the T whose free coefficients (relative to the HNF of ``rows``)
     are zero; this makes the solution deterministic and linear in the
-    targets.  Raises LatticeSolveError naming the first failing target row.
+    targets.  The coefficients over the HNF basis come from Lattice.member.
+    Raises LatticeSolveError naming the first failing target row.
     """
     M = _as_matrix(rows)
     if not M:
         raise ValueError("need at least one generator row")
     H, U = hnf(M)
+    L = Lattice(len(M[0]), H)  # H is its own HNF, so no second run
     T = []
     for idx, v in enumerate(targets):
-        if len(v) != len(M[0]):
+        if len(v) != L.ambient:
             raise ValueError(f"target row {idx} has wrong length")
-        y, residue = _reduce_against(H, v)
-        if y is None or any(residue):
+        c = L.member(v)
+        if c is None:
             raise LatticeSolveError(idx)
-        # c . rows = (y . U) . rows = y . H = v
-        c = [sum(y[i] * U[i][j] for i in range(len(M))) for j in range(len(M))]
-        T.append(tuple(c))
+        # c . basis = v, and the basis is the leading rows of H = U * rows
+        T.append(tuple(sum(map(mul, c, u)) for u in zip(*U)))
     return tuple(T)
 
 

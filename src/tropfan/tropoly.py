@@ -28,11 +28,12 @@ Monomial = tuple[int, ...]
 
 
 class PolySyntaxError(ValueError):
-    """Parse failure; carries the 0-based offset into the input text."""
+    """Parse failure; carries the 0-based offset into the input text.  With
+    no position the message stays as given, as copy and pickle rebuild it."""
 
-    def __init__(self, message: str, position: int):
+    def __init__(self, message: str, position: Optional[int] = None):
+        super().__init__(message if position is None else f"{message} (at position {position})")
         self.position = position
-        super().__init__(f"{message} (at position {position})")
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -145,8 +146,9 @@ def _is_vertex(u: Monomial, mono: Sequence[Monomial]) -> bool:
     return not in_convex_hull(u, others)
 
 
-_VAR = re.compile(r"x([1-9][0-9]*)")
-_INT = re.compile(r"[+-]?[0-9]+")
+# a factor and the whitespace around it, every part optional: 0 (group 1),
+# or x<i> (2) with '^' and its whitespace (3) and a signed exponent (4)
+_FACTOR = re.compile(r"\s*(?:(0)|x([1-9][0-9]*)\s*(?:(\^\s*)([+-]?[0-9]+)?)?)?\s*")
 
 
 def parse_poly(text: str, dim: int) -> TropPoly:
@@ -154,68 +156,34 @@ def parse_poly(text: str, dim: int) -> TropPoly:
 
     A factor is x<i> or x<i>^<e> with e a signed integer (default 1); the
     lone token 0 denotes the zero exponent vector.  Whitespace is ignored
-    between any two tokens.  Raises PolySyntaxError with a position, or
-    ValueError for a variable index outside 1..dim.
+    between any two tokens.  Each step matches one factor, then reads the
+    operator after it.  Raises PolySyntaxError with the position of the
+    first bad token, or ValueError for a variable index outside 1..dim.
     """
-    pos = 0
-    n = len(text)
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def peek() -> str:
-        return text[pos] if pos < n else ""
-
-    def parse_factor(expo: list[int]):
-        nonlocal pos
-        m = _VAR.match(text, pos)
-        if not m:
-            raise PolySyntaxError("expected a variable factor", pos)
-        i = int(m.group(1))
-        if not 1 <= i <= dim:
-            raise ValueError(f"variable x{i} outside 1..{dim} (at position {pos})")
-        pos = m.end()
-        skip_ws()
-        e = 1
-        if peek() == "^":
-            pos += 1
-            skip_ws()
-            m = _INT.match(text, pos)
-            if not m:
-                raise PolySyntaxError("expected an integer exponent after '^'", pos)
-            e = int(m.group(0))
-            pos = m.end()
-        expo[i - 1] += e
-
-    def parse_monomial() -> Monomial:
-        nonlocal pos
-        skip_ws()
-        if peek() == "0":
-            pos += 1
-            return (0,) * dim
-        expo = [0] * dim
-        parse_factor(expo)
-        while True:
-            skip_ws()
-            if peek() == "*":
-                pos += 1
-                skip_ws()
-                parse_factor(expo)
-            else:
-                return tuple(expo)
-
-    monomials = [parse_monomial()]
+    monomials, expo, pos, first = [], [0] * dim, 0, True
     while True:
-        skip_ws()
-        if pos >= n:
-            break
-        if peek() != "+":
-            raise PolySyntaxError("expected '+' between monomials", pos)
-        pos += 1
-        monomials.append(parse_monomial())
-    return TropPoly(dim, monomials)
+        m = _FACTOR.match(text, pos)
+        zero, index, caret, e = m.groups()
+        if index:
+            i = int(index)
+            if not 1 <= i <= dim:
+                raise ValueError(f"variable x{i} outside 1..{dim} (at position {m.start(2) - 1})")
+            if caret and e is None:
+                raise PolySyntaxError("expected an integer exponent after '^'", m.end(3))
+            expo[i - 1] += int(e) if e else 1
+        elif not (zero and first):  # 0 is a whole monomial, never a factor
+            raise PolySyntaxError("expected a variable factor", m.start(1) if zero else m.end())
+        pos = m.end()
+        op = text[pos:pos + 1]
+        if op == "*" and not zero:
+            pos, first = pos + 1, False
+            continue
+        monomials.append(tuple(expo))
+        if op != "+":
+            if op:
+                raise PolySyntaxError("expected '+' between monomials", pos)
+            return TropPoly(dim, monomials)
+        pos, expo, first = pos + 1, [0] * dim, True
 
 
 def fn_eq_on_space(f: TropPoly, g: TropPoly) -> bool:

@@ -2,6 +2,7 @@
 their generator matrices, and small random-object generators."""
 
 import json
+import re
 from fractions import Fraction
 from typing import Iterable
 
@@ -78,6 +79,131 @@ def random_primitive_direction(rng, n, bound=4):
         v = random_int_vector(rng, n, -bound, bound)
         if any(v):
             return primitive(v)
+
+
+def matrix_from_ray(sigma, ray, class_dirs, n):
+    """The matrix whose slot b is zero when sigma[b] is None, and otherwise
+    the next entry of ray times the direction of class sigma[b].  The
+    builder that expand used before it laid members with _place; kept for
+    the reference code."""
+    scales = iter(ray)  # one per assigned slot, in slot order
+    zero = (0,) * n
+    return tuple(zip(*[zero if a is None else tuple(map(next(scales).__mul__, class_dirs[a]))
+                       for a in sigma]))
+
+
+_REF_VAR = re.compile(r"x([1-9][0-9]*)")
+_REF_INT = re.compile(r"[+-]?[0-9]+")
+
+
+def reference_parse_poly(text: str, dim: int) -> TropPoly:
+    """parse_poly by the recursive-descent scanner that the pattern loop
+    replaced: closures over a shared position skip whitespace (str.isspace)
+    and read a monomial, then its factors.  Kept as the parser oracle."""
+    from tropfan import PolySyntaxError
+
+    pos = 0
+    n = len(text)
+
+    def skip_ws():
+        nonlocal pos
+        while pos < n and text[pos].isspace():
+            pos += 1
+
+    def peek() -> str:
+        return text[pos] if pos < n else ""
+
+    def parse_factor(expo: list[int]):
+        nonlocal pos
+        m = _REF_VAR.match(text, pos)
+        if not m:
+            raise PolySyntaxError("expected a variable factor", pos)
+        i = int(m.group(1))
+        if not 1 <= i <= dim:
+            raise ValueError(f"variable x{i} outside 1..{dim} (at position {pos})")
+        pos = m.end()
+        skip_ws()
+        e = 1
+        if peek() == "^":
+            pos += 1
+            skip_ws()
+            m = _REF_INT.match(text, pos)
+            if not m:
+                raise PolySyntaxError("expected an integer exponent after '^'", pos)
+            e = int(m.group(0))
+            pos = m.end()
+        expo[i - 1] += e
+
+    def parse_monomial():
+        nonlocal pos
+        skip_ws()
+        if peek() == "0":
+            pos += 1
+            return (0,) * dim
+        expo = [0] * dim
+        parse_factor(expo)
+        while True:
+            skip_ws()
+            if peek() == "*":
+                pos += 1
+                skip_ws()
+                parse_factor(expo)
+            else:
+                return tuple(expo)
+
+    monomials = [parse_monomial()]
+    while True:
+        skip_ws()
+        if pos >= n:
+            break
+        if peek() != "+":
+            raise PolySyntaxError("expected '+' between monomials", pos)
+        pos += 1
+        monomials.append(parse_monomial())
+    return TropPoly(dim, monomials)
+
+
+def _reference_solve_reduce(H, v):
+    """Forward-substitute v against echelon H: (coefficients, residue), or
+    (None, v so far) when a pivot fails to divide the entry it meets."""
+    from tropfan.lattice import _pivots
+    from tropfan.maxplus import exact_int
+
+    vv = [exact_int(e) for e in v]
+    coeffs = [0] * len(H)
+    for i, j in _pivots(H):
+        p = H[i][j]
+        if vv[j] % p != 0:
+            return None, vv
+        q = vv[j] // p
+        if q:
+            vv = [e - q * f for e, f in zip(vv, H[i])]
+        coeffs[i] = q
+    return coeffs, vv
+
+
+def reference_solve_int(rows, targets):
+    """solve_int by forward substitution of each target against the HNF of
+    the rows, its coefficients carried back by the HNF transform.  The
+    solve that reading Lattice.member replaced; kept as the solve oracle."""
+    from tropfan import LatticeSolveError, hnf
+    from tropfan.lattice import _as_matrix
+
+    M = _as_matrix(rows)
+    if not M:
+        raise ValueError("need at least one generator row")
+    H, U = hnf(M)
+    T = []
+    for idx, v in enumerate(targets):
+        if len(v) != len(M[0]):
+            raise ValueError(f"target row {idx} has wrong length")
+        y, residue = _reference_solve_reduce(H, v)
+        if y is None or any(residue):
+            raise LatticeSolveError(idx)
+        # c . rows = (y . U) . rows = y . H = v
+        c = [sum(y[i] * U[i][j] for i in range(len(M))) for j in range(len(M))]
+        T.append(tuple(c))
+    return tuple(T)
 
 
 def _reference_reduce(basis, v):
@@ -165,10 +291,14 @@ def box_hom_oracle(source: GenMatrix, target_size: int, lattice, bound: int):
     return out
 
 
-def definitional_hom_oracle(source: GenMatrix, target_size: int, bound: int):
+def definitional_hom_oracle(source: GenMatrix, target_size: int, bound: int,
+                            lattice=None):
     """(homomorphisms, refused) over every degree-zero integer image matrix
     with entries in [-bound, bound], decided from the definition of a
     homomorphism instead of the paper's theorem that all are geometric.
+    With a target lattice, only image rows that are lattice members (by
+    reference_member) are tried: the homomorphisms into the subsemiring it
+    cuts out.
 
     Every matrix is tried, with no geometric filter.  hom_from_images
     accepts exactly the matrices whose columns all lie on the source ray
@@ -186,7 +316,7 @@ def definitional_hom_oracle(source: GenMatrix, target_size: int, bound: int):
 
     dirs = [col for col in source.columns() if any(col)]
     rows = [r for r in itertools.product(range(-bound, bound + 1), repeat=target_size)
-            if not sum(r)]
+            if not sum(r) and (lattice is None or reference_member(lattice, r) is not None)]
     homs, refused = set(), 0
     for M in itertools.product(rows, repeat=source.n):
         images = [TropVector(r) for r in M]
@@ -405,7 +535,7 @@ def reference_cone_records(source: GenMatrix, target_size: int):
         for positions in itertools.permutations(range(target_size), len(labels)):
             sigma = _spread(zip(positions, labels), target_size)
             ray = [t for _, t in sorted(zip(positions, coeffs))]
-            placed[-1][positions] = homsearch._matrix_from_ray(sigma, ray, class_dirs, n)
+            placed[-1][positions] = matrix_from_ray(sigma, ray, class_dirs, n)
 
     records = []
     options = [a for a, _ in reps]
@@ -460,10 +590,10 @@ def reference_enumerate_homs(source: GenMatrix, target_size: int, lattice=None):
     for sigma in itertools.product([None] + [a for a, _ in reps], repeat=target_size):
         rays = sorted(reference_assignment_rays(sigma, source))
         if len(rays) > 1:
-            bases = sorted(homsearch._matrix_from_ray(sigma, r, class_dirs, n) for r in rays)
+            bases = sorted(matrix_from_ray(sigma, r, class_dirs, n) for r in rays)
             records.append(homsearch.ConeRecord(sigma, tuple(bases)))
         elif rays:
-            M0 = homsearch._matrix_from_ray(sigma, rays[0], class_dirs, n)
+            M0 = matrix_from_ray(sigma, rays[0], class_dirs, n)
             if M0 in families:
                 continue
             modulus = 1
@@ -488,7 +618,6 @@ def reference_expand_cones(enum, bound):
     target lattice.  The enumerator solves the kernel of the slot directions
     instead; this is the direct search it is checked against."""
     import itertools
-    from tropfan import homsearch
     from tropfan.fan import direction_classes
 
     out = set()
@@ -497,7 +626,7 @@ def reference_expand_cones(enum, bound):
         prims = [class_dirs[a] for a in rec.assignment if a is not None]
         limits = [bound // max(abs(e) for e in p) for p in prims]
         for ks in itertools.product(*(range(lim + 1) for lim in limits)):
-            M = homsearch._matrix_from_ray(rec.assignment, ks, class_dirs, enum.n)
+            M = matrix_from_ray(rec.assignment, ks, class_dirs, enum.n)
             if any(sum(row) for row in M):
                 continue
             if enum.target_lattice is not None and not all(

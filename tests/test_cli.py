@@ -424,10 +424,23 @@ def test_readme_cli_flags_match_parser():
     assert documented == options
 
 
-def test_byte_determinism_across_runs(fan_files):
+@pytest.mark.parametrize("args", [
+    ("homs", "{x}", "full:5"),
+    ("homs", "{y}", "{x}", "--expand", "4"),
+    ("morphisms", "{y}", "{x}", "--expand", "8"),
+    ("polyeq", "--on-space", "3", "x1*x2^-1 + x3 + 0", "x1 + x2^2*x3^-1"),
+    ("witness", "{x}", "1/2,1/3,-5"),
+], ids=["homs-full", "homs-lattice-expand", "morphisms", "polyeq", "witness"])
+def test_byte_determinism_across_runs(fan_files, args):
+    # the commands build sets and parse text, so each run under three hash
+    # seeds prints the same bytes and exits with the same code
     x, y = fan_files
-    outs = {run("morphisms", y, x)[1] for _ in range(3)}
+    argv = [sys.executable, "-m", "tropfan.cli", *(a.format(x=x, y=y) for a in args)]
+    outs = {(proc.returncode, proc.stdout) for proc in (
+        subprocess.run(argv, capture_output=True, env={**ENV, "PYTHONHASHSEED": str(seed)})
+        for seed in range(3))}
     assert len(outs) == 1
+    assert next(iter(outs))[1]
 
 
 @pytest.mark.parametrize("args", [

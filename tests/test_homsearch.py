@@ -15,20 +15,20 @@ import pytest
 from tropfan import (Fan1D, GenMatrix, Lattice, LatticeSpanError, NotGeometricError, Ray,
                      TropPoly, TropVector, apply_functor, enumerate_homs,
                      enumerate_morphisms, geometric_check, hom_from_images,
-                     parse_poly, recover_T, separating_pair, solve_int, substitute_units,
+                     parse_poly, recover_T, separating_pair, substitute_units,
                      verify_witness, weighted_eval_map)
 from tropfan import homsearch, lattice as lattice_module
 from tropfan.fan import direction_classes, primitive
 
 from helpers import (B1, B2, FAN_X, FAN_Y, MG_ROWS, box_hom_oracle, column_permutations,
                      definitional_hom_oracle,
-                     genmatrix_x, genmatrix_y, lattice_y, random_degree_zero_row,
-                     random_int_vector,
+                     genmatrix_x, genmatrix_y, lattice_y, matrix_from_ray,
+                     random_degree_zero_row, random_int_vector,
                      random_primitive_direction, random_source_with_classes,
                      reference_circuit_table, reference_cone_records, reference_enumerate_homs,
                      reference_expand, reference_expand_cones, reference_geometric_check,
                      reference_json_lines, reference_least_multiplier, reference_member,
-                     scale_matrix)
+                     reference_solve_int, scale_matrix)
 
 
 def vecs(matrix):
@@ -303,7 +303,7 @@ class TestFormModuli:
                     at = dict(zip(positions, labels))
                     sigma = tuple(map(at.get, range(m)))
                     ray = [t for _, t in sorted(zip(positions, coeffs))]
-                    M0 = homsearch._matrix_from_ray(sigma, ray, class_dirs, source.n)
+                    M0 = matrix_from_ray(sigma, ray, class_dirs, source.n)
                     try:
                         e = lattice_module.scalar_modulus(M0, L)
                     except LatticeSpanError:
@@ -400,6 +400,26 @@ class TestCompleteness:
         assert len(homs) == found and refused == tried - found
         assert homs == enumerate_homs(source, 3).expand(bound) == box_hom_oracle(
             source, 3, None, bound)
+
+    def test_definitional_oracle_on_seeded_sources(self):
+        # the same check on 200 seeded small sources with 2 or 3 target
+        # labels, every other one into a seeded target lattice, where the
+        # oracle tries only image rows in the lattice; the lattice removes
+        # members of the full target on some of them
+        rng = random.Random(20261021)
+        nonzero, cut = Counter(), 0
+        for i in range(200):
+            source, _ = random_source_with_classes(rng, max_rows=2, max_labels=4)
+            m = rng.choice([2, 3])
+            bound = 3 if m == 2 else 2 if source.n == 1 else 1
+            lattice = random_lattice(rng, m)[0] if i % 2 else None
+            homs, _ = definitional_hom_oracle(source, m, bound, lattice)
+            assert homs == enumerate_homs(source, m, lattice).expand(bound) == box_hom_oracle(
+                source, m, lattice, bound), (source, m, lattice, bound)
+            nonzero[lattice is not None] += len(homs) > 1
+            if lattice is not None:
+                cut += len(homs) < len(enumerate_homs(source, m).expand(bound))
+        assert nonzero[False] >= 25 and nonzero[True] >= 10 and cut >= 10, (nonzero, cut)
 
 
 class TestHomFromImages:
@@ -566,7 +586,7 @@ class TestEnumerateMorphisms:
         # one HNF of the generator rows MG, where there were three, and the
         # lattice takes that HNF as its basis without another run; the only
         # other HNF is the transposed basis behind Lattice.forms.  The
-        # shared solve gives solve_int's canonical T
+        # shared solve gives the canonical T of the substitution solve
         calls = []
         real = lattice_module.hnf
 
@@ -583,12 +603,12 @@ class TestEnumerateMorphisms:
         assert calls == [MG_ROWS, tuple(zip(*basis))]
         monkeypatch.undo()
         assert len(Ts) == 17
-        # a copy built without enumerate_morphisms finds the transform itself
+        # the transform is a field, so a copy carries it
         assert dataclasses.replace(menum).expand_T(8) == Ts
         for T in Ts | {fam.base_T for fam in menum.families}:
             image = [[sum(a * b for a, b in zip(row, col)) for col in zip(*MG_ROWS)]
                      for row in T]
-            assert solve_int(MG_ROWS, image) == T
+            assert reference_solve_int(MG_ROWS, image) == T
 
     def test_identity_on_identical_unit_weight_fans(self):
         fan = Fan1D(2, [Ray([1, 0]), Ray([0, 1]), Ray([-1, -1])])
@@ -1129,9 +1149,9 @@ class TestKernelExpansion:
         # members; at bound 4 a search over the whole box built 157,500
         # candidate matrices, solving the kernel of every cone record 1,830,
         # and testing each built matrix against the lattice 300 (1,460 at
-        # bound 6)
+        # bound 6); expand lays each matrix it builds with _place
         enum = enumerate_homs(genmatrix_y(), 5, Lattice.from_rows(list(genmatrix_x().matrix())))
-        built = count_calls(monkeypatch, "_matrix_from_ray")
+        built = count_calls(monkeypatch, "_place")
         for bound, nonzero in ((4, 4), (6, 8)):
             built.clear()
             members = enum.expand(bound)
@@ -1143,9 +1163,11 @@ class TestKernelExpansion:
         # no candidate is built twice, and into a target lattice none is
         # built outside it: the record-based expansion built 9,580, 18,360
         # and 10,690 candidates for the full targets here, and testing each
-        # built matrix against the lattice built every full-target member
+        # built matrix against the lattice built every full-target member;
+        # the enumeration, whose families are laid with _place too, is done
+        # before the count starts
         expand, bound = EXPAND_ONCE[case]()
-        built = count_calls(monkeypatch, "_matrix_from_ray")
+        built = count_calls(monkeypatch, "_place")
         members = expand(bound)
         assert len(built) == len(members) - 1
 

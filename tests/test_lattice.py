@@ -10,7 +10,7 @@ from tropfan import (Lattice, LatticeSolveError, LatticeSpanError, hnf,
                      scalar_modulus, solve_int, xgcd)
 from tropfan import lattice as lattice_module
 
-from helpers import MG_ROWS, reference_least_multiplier, reference_member
+from helpers import MG_ROWS, reference_least_multiplier, reference_member, reference_solve_int
 
 
 def det(M):
@@ -360,6 +360,55 @@ def test_solve_int_exact_and_linear():
             scaled = [tuple(s * e for e in t) for t in targets]
             assert solve_int(rows, scaled) == tuple(tuple(s * e for e in row)
                                                     for row in T)
+
+
+def _solve_outcome(solve, rows, targets):
+    try:
+        return solve(rows, targets)
+    except ValueError as err:
+        return type(err), str(err), getattr(err, "row_index", None)
+
+
+def test_solve_int_matches_substitution_reference():
+    # differential: solve_int reads Lattice.member on the HNF of its rows,
+    # where reference_solve_int forward-substitutes each target against
+    # that HNF.  The systems have zero rows and rank-deficient rows (a
+    # multiple of another row); the targets are members, other vectors
+    # (often outside), vectors of the wrong length, or members with an
+    # inexact entry.  Both give the same T, or raise the same exception
+    # type with the same message and row index
+    rng = random.Random(20261022)
+    inexact = [0.5, 2.0, True, Fraction(1, 3), Fraction(4, 2)]
+    shapes, kinds, outcomes = Counter(), Counter(), Counter()
+    for _ in range(2000):
+        m, k = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [tuple(rng.randint(-5, 5) for _ in range(k)) for _ in range(m)]
+        shape = rng.choice(["generic", "zero", "deficient"] if m > 1 else ["generic", "zero"])
+        if shape == "zero":
+            rows[rng.randrange(m)] = (0,) * k
+        elif shape == "deficient":
+            i, j = rng.sample(range(m), 2)
+            rows[i] = tuple(rng.randint(-2, 2) * e for e in rows[j])
+        shapes[shape] += 1
+        targets = []
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.choice(["member", "member", "other", "length", "inexact"])
+            c = [rng.randint(-4, 4) for _ in range(m)]
+            t = [sum(ci * row[j] for ci, row in zip(c, rows)) for j in range(k)]
+            if kind == "other":
+                t = [rng.randint(-5, 5) for _ in range(k)]
+            elif kind == "length":
+                t = t[:-1] if rng.random() < 0.5 else t + [0]
+            elif kind == "inexact":
+                t[rng.randrange(k)] = rng.choice(inexact)
+            targets.append(tuple(t))
+            kinds[kind] += 1
+        got = _solve_outcome(solve_int, rows, targets)
+        assert got == _solve_outcome(reference_solve_int, rows, targets), (rows, targets)
+        outcomes[got[0].__name__ if type(got[0]) is type else "solved"] += 1
+    assert min(shapes.values()) >= 400 and min(kinds.values()) >= 500
+    assert set(outcomes) == {"solved", "LatticeSolveError", "ValueError"}
+    assert min(outcomes.values()) >= 200, outcomes
 
 
 def test_scalar_modulus_examples():

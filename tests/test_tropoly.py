@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,32 @@ from tropfan.exactlp import in_convex_hull
 from tropfan.tropoly import _is_vertex
 
 from helpers import (random_int_vector, random_poly, random_rational_point,
-                     reference_eval, reference_is_vertex, reference_separating_point)
+                     reference_eval, reference_is_vertex, reference_parse_poly,
+                     reference_separating_point)
+
+# factor-like and operator-like pieces, joined alternately by
+# random_poly_text: among valid tokens they hold Unicode spaces (U+3000,
+# U+00A0, U+001C) and digits (U+0663, U+0661, U+0662), x0, indices past the
+# dimension, 0 as a factor, and '^' followed by whitespace or by nothing
+POLY_FACTORS = (["x1", " x2 ", "x1^2", "x2 ^ -1", "x1^+3", "\u3000x1", "x1 ", "0", " 0 "] * 4
+                + ["x3", "x4", "x0", "x01", "x12", "x", "x1^", "x2 ^ ", "x1^\t4", "x1^-",
+                   "\u0663", "x\u0661", "x1^\u0662", "y", "x1x2", "", "00", " ",
+                   "x1\n^\n2", "\u00a0x2\u00a0"])
+POLY_OPS = ["*", "+", " + ", "\t*", " +\u00a0", "\x1c*"] * 4 + ["", " ", "^", "-", "**", "++",
+                                                                 "+0*"]
+
+
+def random_poly_text(rng):
+    k = rng.randint(1, 5)
+    parts = rng.choices(POLY_FACTORS, k=k)
+    return parts[0] + "".join(map(add, rng.choices(POLY_OPS, k=k - 1), parts[1:]))
+
+
+def parse_outcome(parse, text, dim):
+    try:
+        return parse(text, dim)
+    except ValueError as err:  # PolySyntaxError is a ValueError
+        return type(err), str(err), getattr(err, "position", None)
 
 
 class TestParser:
@@ -47,6 +74,33 @@ class TestParser:
             parse_poly("x3", 2)
         with pytest.raises((ValueError, PolySyntaxError)):
             parse_poly("x0", 2)
+
+    def test_matches_scanner_reference(self):
+        # differential: the pattern loop against the closure scanner it
+        # replaced, on 100,000 seeded strings; each gives the same TropPoly,
+        # or the same exception type, message and position
+        rng = random.Random(20261021)
+        outcomes = Counter()
+        for _ in range(100_000):
+            text, dim = random_poly_text(rng), rng.randint(1, 3)
+            got = parse_outcome(parse_poly, text, dim)
+            assert got == parse_outcome(reference_parse_poly, text, dim), (text, dim)
+            outcomes["parsed" if isinstance(got, TropPoly) else got[1].split(" (")[0]
+                     .split(" x")[0]] += 1
+        assert len(outcomes) == 5 and min(outcomes.values()) >= 5_000, outcomes
+
+    @pytest.mark.parametrize("text, position", [
+        ("x1^ ", 4), ("x1 ^\u3000+", 5), ("x1 *\u00a00", 5), ("\u3000x\u0661", 1),
+        ("x1 + 0 * x2", 7), ("0x1", 1), ("x1^2^3", 4), ("", 0)])
+    def test_error_positions(self, text, position):
+        with pytest.raises(PolySyntaxError) as err:
+            parse_poly(text, 2)
+        assert err.value.position == position
+        assert parse_outcome(parse_poly, text, 2) == parse_outcome(reference_parse_poly, text, 2)
+
+    def test_unicode_whitespace_is_skipped(self):
+        # str.isspace() and the pattern's \s accept the same characters
+        assert parse_poly("\u3000x1\u00a0*\x1cx2 ^\u2003-1", 2).monomials == {(1, -1)}
 
 
 @pytest.mark.parametrize("bad", [(0.5, True), (1, 1.0), (Fraction(3, 2), 0)])

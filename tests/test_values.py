@@ -8,8 +8,11 @@ import pickle
 
 import pytest
 
-from tropfan import (Fan1D, GenMatrix, Lattice, Ray, TropPoly, TropVector,
-                     enumerate_homs, enumerate_morphisms, hom_from_images)
+import tropfan
+from tropfan import (Fan1D, GenMatrix, LabelMismatchError, Lattice, LatticeSolveError,
+                     LatticeSpanError, NotAUnitError, NotGeometricError, PointInSupportError,
+                     PolySyntaxError, Ray, TropPoly, TropVector, enumerate_homs,
+                     enumerate_morphisms, hom_from_images)
 
 from helpers import B1, FAN_X, FAN_Y, MG_ROWS, genmatrix_x
 
@@ -84,3 +87,44 @@ def test_lattice_with_cached_forms_keeps_value_semantics():
         assert twin.forms == used.forms
         assert twin.member((0, 4, -4)) == (0, 1) and (1, 0, -1) not in twin
         assert twin.least_multiplier((1, 0, -1)) == 2
+
+
+def _raised(call, *args):
+    try:
+        call(*args)
+    except ValueError as err:
+        return err
+    raise AssertionError(f"{call.__name__}{args} raised nothing")
+
+
+# one instance of every exception type the package exports, with its fields
+ERRORS = [
+    LabelMismatchError("labels differ"),
+    NotAUnitError("degree 2"),
+    PolySyntaxError("bad", 5),
+    _raised(tropfan.parse_poly, "x1 + + x2", 2),
+    LatticeSolveError(3),
+    LatticeSolveError(0, "custom message"),
+    _raised(tropfan.solve_int, MG_ROWS, [(0, 0, 0), (1, 0, -1)]),
+    LatticeSpanError("outside the span"),
+    _raised(hom_from_images, [TropVector(row) for row in ((1, 0, 0), (0, 0, 0), (0, 0, 0))],
+            genmatrix_x()),
+    PointInSupportError("on the ray union"),
+]
+
+
+def test_exported_errors_copy_and_pickle_with_their_fields():
+    # copy and pickle rebuild an exception by calling its class on its args:
+    # PolySyntaxError('bad', 5) used to raise TypeError there, and
+    # LatticeSolveError(3) to come back as "target row target row 3 is not
+    # in the lattice is not in the lattice"
+    exported = {obj for obj in map(vars(tropfan).get, tropfan.__all__)
+                if isinstance(obj, type) and issubclass(obj, BaseException)}
+    assert {type(err) for err in ERRORS} == exported
+    assert vars(ERRORS[-2])["witness"] is not None
+    for err in ERRORS:
+        twins = [pickle.loads(pickle.dumps(err, protocol)) for protocol in range(6)]
+        for twin in [*twins, copy.copy(err), copy.deepcopy(err)]:
+            assert type(twin) is type(err)
+            assert str(twin) == str(err) and twin.args == err.args
+            assert vars(twin) == vars(err)

@@ -3,12 +3,16 @@
 A polynomial is a finite set of integer exponent vectors; the function it
 defines sends x to the max of the inner products u . x.  Two polynomials
 define the same function on all of R^n exactly when each exponent set lies
-in the other's convex hull, so only the exponents the two do not share are
-tested, and the same function on a union of rays exactly when they agree at
-one point per ray.  The normal form is canonical(): the vertex set of the
-exponent hull.  Everything here is exact: rational points are evaluated in
-integers over one common denominator, and hull membership is decided by
-rational linear feasibility, never by sampling.
+in the other's convex hull.  fn_eq_on_space decides just that, for the
+exponents the two do not share: two tests that need no LP refute most
+exponents outside, and a hull LP settles the rest.  separating_point
+certifies inequality with a rational point.  Two polynomials define the
+same function on a union of rays exactly when they agree at one point per
+ray; the pair is evaluated there in one pass, each monomial of f and g
+once.  The normal form is canonical(): the vertex set of the exponent hull.
+Everything here is exact: rational points are evaluated in integers over
+one common denominator, and hull membership is decided by rational linear
+feasibility, never by sampling.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from fractions import Fraction
 from itertools import chain
 from math import lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .exactlp import in_convex_hull, strict_separator
 from .maxplus import TropVector, exact_int, exact_rational
@@ -49,9 +53,7 @@ class TropPoly:
     monomials: frozenset[Monomial]
 
     def __init__(self, dim: int, monomials: Iterable[Sequence[int]]):
-        dim = exact_int(dim)
-        if dim < 1:
-            raise ValueError("ambient dimension must be positive")
+        dim = _ambient_dim(dim)
         # the types are read before the frozenset dedups, since 1.0 == 1
         mono = [tuple(u) for u in monomials]
         if set(map(type, chain.from_iterable(mono))) - {int}:
@@ -98,19 +100,15 @@ class TropPoly:
     def eval(self, point: Sequence) -> Optional[Fraction | int]:
         """Max over monomials of u . point; None (minus infinity) for zero.
         A point that is not all int must be rational (no floats or bools); it
-        is cleared to integers over the lcm D of its denominators and gives
-        the Fraction max(u . D point) / D.  Each u . point is one
+        is cleared to integers over the lcm D of its denominators (_cleared)
+        and gives the Fraction max(u . D point) / D.  Each u . point is one
         sum(map(mul, u, point)) over ints."""
         if len(point) != self.dim:
             raise ValueError(f"point has length {len(point)}, expected {self.dim}")
         if not self.monomials:
             return None
-        D = None
-        if set(map(type, point)) != {int}:
-            fr = [exact_rational(p) for p in point]
-            D = lcm(*(p.denominator for p in fr))
-            point = [p.numerator * (D // p.denominator) for p in fr]
-        top = max([sum(map(mul, u, point)) for u in self.monomials])
+        x, D = _cleared(point)
+        top = max([sum(map(mul, u, x)) for u in self.monomials])
         return top if D is None else Fraction(top, D)
 
     def canonical(self) -> "TropPoly":
@@ -133,17 +131,74 @@ class TropPoly:
         return cls(dim, data)
 
 
+def _ambient_dim(dim) -> int:
+    """A dimension as TropPoly and parse_poly accept it: a positive int."""
+    dim = exact_int(dim)
+    if dim < 1:
+        raise ValueError("ambient dimension must be positive")
+    return dim
+
+
+def _cleared(point: Sequence) -> tuple[Sequence[int], Optional[int]]:
+    """(point, None) when every entry is an int.  Otherwise each entry must
+    be rational (exact_rational refuses floats and bools), and the result is
+    (D * point as ints, D) with D the lcm of the denominators."""
+    if set(map(type, point)) == {int}:
+        return point, None
+    fr = [exact_rational(p) for p in point]
+    D = lcm(*(p.denominator for p in fr))
+    return [p.numerator * (D // p.denominator) for p in fr], D
+
+
+def _pair_differs(f: TropPoly, g: TropPoly) -> Callable[[Sequence], bool]:
+    """The test "f and g differ at this point"; f and g must share their
+    dimension.  The monomials are listed once, f's own, the shared, then
+    g's own, so that at a point every product u . x is computed once and
+    f's values are a prefix of the list and g's a suffix.  Each point gets
+    one length check, one type check and one clearing (_cleared); the two
+    maxima share its denominator, so their integers are compared.  As in
+    eval, a zero polynomial's max is None, and with no monomials at all the
+    point's entries are not checked."""
+    f._check_dim(g)
+    fm, gm = f.monomials, g.monomials
+    mono = list(fm - gm)
+    split = len(mono)
+    mono += fm & gm
+    end = len(mono)
+    mono += gm - fm
+    dim = f.dim
+
+    def differs(point: Sequence) -> bool:
+        if len(point) != dim:
+            raise ValueError(f"point has length {len(point)}, expected {dim}")
+        if not mono:
+            return False
+        x, _ = _cleared(point)
+        vals = [sum(map(mul, u, x)) for u in mono]
+        return max(vals[:end], default=None) != max(vals[split:], default=None)
+    return differs
+
+
+def _refuted(u: Monomial, pts: Sequence[Monomial]) -> bool:
+    """Whether u lies outside the hull of the sorted nonempty exponents pts
+    by one of two tests that need no LP: u lexicographically before the
+    first or after the last (a convex combination lies between its
+    lexicographic extremes), or u strictly beyond every point in some
+    coordinate."""
+    if u < pts[0] or u > pts[-1]:
+        return True
+    for c, col in zip(u, zip(*pts)):
+        if c > max(col) or c < min(col):
+            return True
+    return False
+
+
 def _is_vertex(u: Monomial, mono: Sequence[Monomial]) -> bool:
     """Whether u is no convex combination of the other exponents in the
-    sorted list mono.  The first and last, and one strictly largest or
-    smallest in a coordinate, are vertices without the hull LP."""
-    if u == mono[0] or u == mono[-1]:
-        return True
+    sorted list mono: the LP-free refutations first (the first and last of
+    mono pass the lexicographic one), then one hull LP."""
     others = [v for v in mono if v != u]
-    for i, c in enumerate(u):
-        if all(v[i] < c for v in others) or all(v[i] > c for v in others):
-            return True
-    return not in_convex_hull(u, others)
+    return not others or _refuted(u, others) or not in_convex_hull(u, others)
 
 
 # a factor and the whitespace around it, every part optional: 0 (group 1),
@@ -159,7 +214,9 @@ def parse_poly(text: str, dim: int) -> TropPoly:
     between any two tokens.  Each step matches one factor, then reads the
     operator after it.  Raises PolySyntaxError with the position of the
     first bad token, or ValueError for a variable index outside 1..dim.
+    dim is checked as TropPoly checks it.
     """
+    dim = _ambient_dim(dim)
     monomials, expo, pos, first = [], [0] * dim, 0, True
     while True:
         m = _FACTOR.match(text, pos)
@@ -187,8 +244,25 @@ def parse_poly(text: str, dim: int) -> TropPoly:
 
 
 def fn_eq_on_space(f: TropPoly, g: TropPoly) -> bool:
-    """Equality of the induced functions on all of R^n (exact)."""
-    return separating_point(f, g) is None
+    """Equality of the induced functions on all of R^n (exact).
+
+    Decided by membership: every exponent of one polynomial that the other
+    lacks must lie in the other's exponent hull.  The LP-free refutations
+    (_refuted) run on all of them before any hull LP, so an exponent that
+    one of them settles answers False with no LP; otherwise the hull LPs
+    run in sorted order, f's exponents before g's, up to the first exponent
+    outside.  No certificate is built; separating_point gives one.
+    """
+    f._check_dim(g)
+    if f.is_zero or g.is_zero:
+        raise ValueError("function equality is defined for nonzero polynomials")
+    tests = []
+    for p, q in ((f, g), (g, f)):
+        pts = q.sorted_monomials()
+        tests += [(u, pts) for u in sorted(p.monomials - q.monomials)]
+    if any(_refuted(u, pts) for u, pts in tests):
+        return False
+    return all(in_convex_hull(u, pts) for u, pts in tests)
 
 
 def separating_point(f: TropPoly, g: TropPoly) -> Optional[tuple[Fraction, ...]]:
@@ -227,16 +301,17 @@ def differing_direction(f: TropPoly, g: TropPoly,
     when they agree on the union of those rays.
 
     Agreement along a whole ray is equivalent to agreement at any single
-    point of it, so one exact evaluation per direction decides.
+    point of it, so one exact evaluation of the pair per direction decides
+    (_pair_differs: each monomial of f and g once).
     """
-    f._check_dim(g)
+    differs = _pair_differs(f, g)
     if f.is_zero or g.is_zero:
         raise ValueError("function equality is defined for nonzero polynomials")
     for d in directions:
         d = tuple(map(exact_int, d))
         if not any(d):
             raise ValueError("invalid ray: zero direction vector")
-        if f.eval(d) != g.eval(d):
+        if differs(d):
             return d
     return None
 

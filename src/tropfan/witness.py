@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from numbers import Rational
 from operator import mul
 from typing import Optional, Sequence
@@ -24,16 +23,15 @@ from typing import Optional, Sequence
 from .fan import primitive
 from .lattice import xgcd
 from .maxplus import exact_rational
-from .tropoly import TropPoly
+from .tropoly import TropPoly, _cleared, _pair_differs
 
 
 def integerize(p: Sequence[Rational]) -> tuple[int, ...]:
     """Scale a nonzero rational vector to its primitive integer direction."""
-    fr = [exact_rational(e) for e in p]
-    if not any(fr):
+    x, _ = _cleared(tuple(p))
+    if not any(x):
         raise ValueError("the zero vector has no direction")
-    scale = lcm(*(e.denominator for e in fr))
-    return primitive([e.numerator * (scale // e.denominator) for e in fr])
+    return primitive(x)
 
 
 def orth_basis(p: Sequence[Rational]) -> list[tuple[int, ...]]:
@@ -155,12 +153,12 @@ def separating_pair(z_dirs: Sequence[Sequence[int]],
 
 
 def verify_witness(w: WitnessPair, z_dirs: Sequence[Sequence[int]]) -> bool:
-    """Exact check of the witness contract: f and g agree on every union
-    direction and differ at the designated point."""
-    for d in z_dirs:
-        if w.f.eval(d) != w.g.eval(d):
-            return False
-    return w.f.eval(w.point) != w.g.eval(w.point)
+    """Exact check of the witness contract: no union direction is a point
+    where f and g differ, and the designated point is one.  Each point is
+    evaluated once for the pair (tropoly._pair_differs), so the monomials
+    f and g share are multiplied once."""
+    differs = _pair_differs(w.f, w.g)
+    return not any(map(differs, z_dirs)) and differs(w.point)
 
 
 def in_congruence_variety(q: Sequence[Rational],

@@ -752,11 +752,61 @@ def reference_separating_pair(z_dirs, p):
                        point, d1, tuple(basis), K)
 
 
+def outcome(fn, *args):
+    """fn's value, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as err:
+        return type(err), str(err)
+
+
+def reference_checked_eval(p: TropPoly, point):
+    """TropPoly.eval's checks, then reference_eval: the length first, then,
+    for a nonzero polynomial, every entry through exact_rational."""
+    from tropfan.maxplus import exact_rational
+
+    if len(point) != p.dim:
+        raise ValueError(f"point has length {len(point)}, expected {p.dim}")
+    if p.is_zero:
+        return None
+    return reference_eval(p, [exact_rational(x) for x in point])
+
+
 def reference_verify_witness(w, z_dirs):
-    """verify_witness through reference_eval."""
-    if any(reference_eval(w.f, d) != reference_eval(w.g, d) for d in z_dirs):
+    """verify_witness by evaluating f and g one at a time at each point,
+    through reference_checked_eval.  The library evaluates the pair once per
+    point; this is the per-polynomial check it is compared against, errors
+    included."""
+    if any(reference_checked_eval(w.f, d) != reference_checked_eval(w.g, d) for d in z_dirs):
         return False
-    return reference_eval(w.f, w.point) != reference_eval(w.g, w.point)
+    return reference_checked_eval(w.f, w.point) != reference_checked_eval(w.g, w.point)
+
+
+def reference_differing_direction(f: TropPoly, g: TropPoly, directions):
+    """differing_direction by evaluating f and g one at a time at each
+    direction, through reference_checked_eval, with the library's checks in
+    the library's order."""
+    from tropfan.maxplus import exact_int
+
+    f._check_dim(g)
+    if f.is_zero or g.is_zero:
+        raise ValueError("function equality is defined for nonzero polynomials")
+    for d in directions:
+        d = tuple(map(exact_int, d))
+        if not any(d):
+            raise ValueError("invalid ray: zero direction vector")
+        if reference_checked_eval(f, d) != reference_checked_eval(g, d):
+            return d
+    return None
+
+
+def reference_fn_eq_on_space(f: TropPoly, g: TropPoly) -> bool:
+    """fn_eq_on_space by one hull LP for every exponent of each polynomial
+    against all of the other's, shared exponents and extremes included."""
+    from tropfan.exactlp import in_convex_hull
+
+    return all(in_convex_hull(u, q.sorted_monomials())
+               for p, q in ((f, g), (g, f)) for u in p.sorted_monomials())
 
 
 def reference_solve_eq_nonneg(A, b):

@@ -34,6 +34,15 @@ PINNED_WITNESSES = [
      '[62, 372, 31]], "point": ["1/2", "1/3", "-5"], "K": 31}'),
 ]
 
+# `tropfan polyeq` output, on R^2 and on the demo fans: one equal and one
+# unequal pair in each mode
+PINNED_POLYEQ = [
+    (["--on-space", "2", "x1^2 + x2^2 + 0", "x1^2 + x2^2 + x1*x2 + 0"], 0, "equal\n"),
+    (["--on-space", "2", "x1 + x2", "x1"], 1, 'unequal\n["0", "1"]\n'),
+    (["--on-fan", "fan3_r2.json", "x1 + x2", "x1 + x2 + 0"], 0, "equal\n"),
+    (["--on-fan", "fan5_r3.json", "x1 + x3", "x1"], 1, 'unequal\n["-1", "0", "1"]\n'),
+]
+
 X_FAN = {
     "ambient_dim": 3,
     "rays": [
@@ -349,17 +358,30 @@ class TestPolyeq:
         assert code == 1
         assert out == 'unequal\n["1", "0"]\n'
 
+    @pytest.mark.parametrize("args, code, out", PINNED_POLYEQ, ids=[
+        "space-equal", "space-unequal", "fan3_r2-equal", "fan5_r3-unequal"])
+    def test_pinned_bytes(self, args, code, out):
+        # the same lines are pinned in CI against the installed console script
+        args = [str(DEMO_FANS / a) if a.endswith(".json") else a for a in args]
+        assert run("polyeq", *args) == (code, out, "")
+
     def test_on_fan_decides_once(self, fan_files, monkeypatch):
-        # one scan decides and names the direction: no (polynomial,
-        # direction) pair is evaluated twice
+        # one scan decides and names the direction: no (polynomial pair,
+        # direction) is evaluated twice, and neither polynomial is evaluated
+        # on its own
         calls = Counter()
-        real = tropfan.tropoly.TropPoly.eval
+        real = tropfan.tropoly._pair_differs
 
-        def counted(self, point):
-            calls[self, tuple(point)] += 1
-            return real(self, point)
+        def counted(f, g):
+            differs = real(f, g)
 
-        monkeypatch.setattr(tropfan.tropoly.TropPoly, "eval", counted)
+            def wrapper(point):
+                calls[f, g, tuple(point)] += 1
+                return differs(point)
+            return wrapper
+
+        monkeypatch.setattr(tropfan.tropoly, "_pair_differs", counted)
+        monkeypatch.setattr(tropfan.tropoly.TropPoly, "eval", None)
         x, _ = fan_files
         for f, g, code in (("x1 + x2", "x1", 1), ("x1 + x2", "x1 + x2 + 0", 0)):
             calls.clear()

@@ -389,13 +389,15 @@ class TestCompleteness:
             done += not enum.inexhaustive
 
     @pytest.mark.parametrize("source, bound, tried, found", [
-        (genmatrix_y(), 2, 361, 1), (genmatrix_y(), 3, 1369, 7), (genmatrix_x(), 1, 343, 1)],
-        ids=["Y-2", "Y-3", "X-1"])
+        (genmatrix_y(), 2, 361, 1), (genmatrix_y(), 3, 1369, 7), (genmatrix_x(), 1, 343, 1),
+        (genmatrix_x(), 2, 6859, 13)],
+        ids=["Y-2", "Y-3", "X-1", "X-2"])
     def test_definitional_oracle(self, source, bound, tried, found):
         # the paper's theorem checked, not assumed: every degree-zero image
         # matrix in the box is a homomorphism or refuted by a witness pair,
         # and the homomorphisms are expand's and the geometric box oracle's
-        # (only the zero matrix in the two smallest boxes)
+        # (only the zero matrix in the two smallest boxes; on X at [-2, 2],
+        # 6,846 refusals, each verified by verify_witness)
         homs, refused = definitional_hom_oracle(source, 3, bound)
         assert len(homs) == found and refused == tried - found
         assert homs == enumerate_homs(source, 3).expand(bound) == box_hom_oracle(

@@ -11,11 +11,13 @@ from tropfan import (PolySyntaxError, TropPoly, TropVector, fn_eq_on_rays,
                      fn_eq_on_space, parse_poly, separating_point,
                      substitute_units)
 from tropfan.exactlp import in_convex_hull
-from tropfan.tropoly import _is_vertex
+from tropfan.tropoly import _is_vertex, differing_direction
 
-from helpers import (random_int_vector, random_poly, random_rational_point,
-                     reference_eval, reference_is_vertex, reference_parse_poly,
-                     reference_separating_point)
+from helpers import (outcome, random_int_vector, random_poly,
+                     random_primitive_direction, random_rational_point,
+                     reference_differing_direction, reference_eval,
+                     reference_fn_eq_on_space, reference_is_vertex,
+                     reference_parse_poly, reference_separating_point)
 
 # factor-like and operator-like pieces, joined alternately by
 # random_poly_text: among valid tokens they hold Unicode spaces (U+3000,
@@ -139,10 +141,20 @@ def test_int_exponents_checked_once(monkeypatch):
 @pytest.mark.parametrize("dim", [2.0, True, "2"])
 def test_non_integer_dimension_rejected(dim):
     for make in (lambda: TropPoly(dim, [(0, 1)]), lambda: TropPoly.one(dim),
-                 lambda: TropPoly.zero(dim)):
+                 lambda: TropPoly.zero(dim), lambda: parse_poly("x1", dim)):
         with pytest.raises(ValueError, match="expected an integer"):
             make()
     assert TropPoly.one(Fraction(2)) == TropPoly(2, [(0, 0)])
+    assert parse_poly("x1", Fraction(2)) == TropPoly(2, [(1, 0)])
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_nonpositive_dimension_rejected(dim):
+    # parse_poly checks the dimension before it reads a variable index
+    for make in (lambda: TropPoly(dim, []), lambda: TropPoly.one(dim),
+                 lambda: TropPoly.zero(dim), lambda: parse_poly("x1", dim)):
+        with pytest.raises(ValueError, match="^ambient dimension must be positive$"):
+            make()
 
 
 class TestEval:
@@ -253,6 +265,18 @@ class TestCanonical:
         assert TropPoly.from_json(p.to_json(), 2) == p
 
 
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Counts of the hull and separator LPs that tropoly starts."""
+    calls = {"in_convex_hull": 0, "strict_separator": 0}
+    for name in calls:
+        def wrapper(*args, _name=name, _real=getattr(tropfan.tropoly, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(tropfan.tropoly, name, wrapper)
+    return calls
+
+
 class TestEqOnSpace:
     def test_redundant_monomial_equal(self):
         f = TropPoly(2, [(0, 0), (2, 0), (1, 0)])
@@ -321,45 +345,117 @@ class TestEqOnSpace:
             equal += expected is None
         assert equal >= 400
 
-    def test_shared_exponents_need_no_lp(self, monkeypatch):
+    def test_shared_exponents_need_no_lp(self, monkeypatch, lp_calls):
         # f and g share every vertex; only g's (1, 1) is tested, and it lies
-        # in the hull of g's other exponents, so no separator is sought
-        calls = {"in_convex_hull": 0, "strict_separator": 0}
-
-        def counted(name):
-            real = getattr(tropfan.tropoly, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return real(*args)
-            monkeypatch.setattr(tropfan.tropoly, name, wrapper)
-
-        counted("in_convex_hull")
-        counted("strict_separator")
+        # in f's hull: one hull LP, and no separator is sought
         monkeypatch.setattr(TropPoly, "canonical", None)  # no equality path uses it
         f = TropPoly(2, [(0, 0), (2, 0), (0, 2)])
         g = f + TropPoly(2, [(1, 1)])
         assert fn_eq_on_space(f, g)
-        assert calls == {"in_convex_hull": 1, "strict_separator": 0}
+        assert lp_calls == {"in_convex_hull": 1, "strict_separator": 0}
 
+    def test_membership_matches_reference(self, monkeypatch):
+        # 2,500 seeded pairs: f plus points of its hull (equal), f plus one
+        # random exponent, f plus one exponent from f's bounding box (which
+        # no refutation settles when it falls between f's lexicographic
+        # extremes), f with one exponent replaced, and two random
+        # polynomials.  Each decision is logged: a refutation comes first and
+        # alone, and an LP answers False only as the last step.  Every kind
+        # of decision must occur often
+        log = []
+        real_refuted, real_hull = tropfan.tropoly._refuted, tropfan.tropoly.in_convex_hull
 
-    def test_vertex_lp_count(self, monkeypatch):
+        def refuted(u, pts):
+            out = real_refuted(u, pts)
+            if out:
+                log.append("lexicographic" if u < pts[0] or u > pts[-1] else "coordinate")
+            return out
+
+        def hull(u, pts):
+            inside = real_hull(u, pts)
+            log.append("inside LP" if inside else "outside LP")
+            return inside
+
+        rng = random.Random(2025)
+        kinds = Counter()
+        for i in range(2500):
+            dim = rng.randint(1, 4)
+            f = random_poly(rng, dim, max_monos=6, bound=rng.choice((1, 3)))
+            mono = f.sorted_monomials()
+            if i % 5 == 0:
+                doubled = [tuple(2 * e for e in u) for u in mono]
+                f = TropPoly(dim, doubled)
+                g = f + TropPoly(dim, [tuple((a + b) // 2 for a, b in
+                                             zip(rng.choice(doubled), rng.choice(doubled)))
+                                       for _ in range(rng.randint(1, 3))])
+            elif i % 5 == 1:
+                g = f + TropPoly(dim, [random_int_vector(rng, dim, -3, 3)])
+            elif i % 5 == 2:
+                g = f + TropPoly(dim, [tuple(rng.randint(min(c), max(c)) for c in zip(*mono))])
+            elif i % 5 == 3:
+                g = TropPoly(dim, mono[:-1] + [random_int_vector(rng, dim, -3, 3)])
+            else:
+                g = random_poly(rng, dim, max_monos=6, bound=rng.choice((1, 3)))
+            if rng.random() < 0.5:
+                f, g = g, f
+            expected = reference_separating_point(f, g) is None
+            assert reference_fn_eq_on_space(f, g) == expected
+            log.clear()
+            with monkeypatch.context() as m:
+                m.setattr(tropfan.tropoly, "_refuted", refuted)
+                m.setattr(tropfan.tropoly, "in_convex_hull", hull)
+                assert fn_eq_on_space(f, g) == expected
+            if expected:
+                assert set(log) <= {"inside LP"}
+                kinds["equal"] += 1
+            else:
+                assert log[-1] != "inside LP" and set(log[:-1]) <= {"inside LP"}
+                assert log[-1] == "outside LP" or len(log) == 1
+                kinds[log[-1]] += 1
+        assert min(kinds.values()) >= 150 and len(kinds) == 4, kinds
+
+    def test_extreme_exponent_needs_no_lp(self, monkeypatch, lp_calls):
+        # an exponent of g lexicographically past f's exponents, or strictly
+        # beyond them in one coordinate, decides "unequal" without an LP
+        monkeypatch.setattr(TropPoly, "canonical", None)
+        # (1, 1) lies in f's hull and would take an LP, but the refutations
+        # of every exponent come before any LP
+        f = TropPoly(2, [(0, 0), (2, 0), (0, 2)])
+        for extra in ([(3, 3)], [(-1, 1)], [(1, 5)], [(1, -1)], [(1, 1), (3, 3)]):
+            g = f + TropPoly(2, extra)
+            assert not fn_eq_on_space(f, g) and not fn_eq_on_space(g, f)
+        assert lp_calls == {"in_convex_hull": 0, "strict_separator": 0}
+
+    def test_hull_lp_count(self, lp_calls):
+        # pinned work over a fixed list of pairs shaped like the certify
+        # benchmark's: f with one exponent replaced (unequal), and f plus the
+        # midpoint of two of its exponents (equal).  The decision takes hull
+        # LPs only, and none for a pair that a refutation settles
+        rng = random.Random(67)
+        unequal = 0
+        for i in range(200):
+            dim = rng.randint(3, 4)
+            f = [random_int_vector(rng, dim, -3, 3) for _ in range(rng.randint(3, 6))]
+            if i % 2:
+                g = f[:-1] + [random_int_vector(rng, dim, -3, 3)]
+            else:
+                f = [tuple(2 * e for e in u) for u in f]
+                g = f + [tuple((a + b) // 2 for a, b in zip(f[0], f[-1]))]
+            unequal += not fn_eq_on_space(TropPoly(dim, f), TropPoly(dim, g))
+        assert unequal == 100
+        assert lp_calls == {"in_convex_hull": 116, "strict_separator": 0}
+
+    def test_vertex_lp_count(self, lp_calls):
         # pinned work over a fixed list of pairs: with one hull LP for every
         # tested exponent, extremes included, this list took 202 hull LPs;
         # the separator LPs do not depend on the vertex test
-        calls = {"in_convex_hull": 0, "strict_separator": 0}
-        for name in calls:
-            def wrapper(*args, _name=name, _real=getattr(tropfan.tropoly, name)):
-                calls[_name] += 1
-                return _real(*args)
-            monkeypatch.setattr(tropfan.tropoly, name, wrapper)
         rng = random.Random(61)
         for _ in range(200):
             dim = rng.randint(2, 4)
             f = random_poly(rng, dim, max_monos=7, bound=2)
             g = f + random_poly(rng, dim, max_monos=3, bound=2)
             separating_point(f, g)
-        assert calls == {"in_convex_hull": 72, "strict_separator": 189}
+        assert lp_calls == {"in_convex_hull": 72, "strict_separator": 189}
 
 
 class TestEqOnRays:
@@ -386,6 +482,46 @@ class TestEqOnRays:
         f = TropPoly(2, [(1, 0)])
         with pytest.raises(ValueError, match="expected an integer"):
             fn_eq_on_rays(f, f, [bad])
+
+    def test_differing_direction_matches_per_polynomial_reference(self):
+        # differing_direction evaluates f and g together at each direction;
+        # the reference evaluates them one at a time.  Six kinds of case, in
+        # turn: int directions, integral Fraction directions, a zero
+        # polynomial on either side, a direction of the wrong length, a
+        # float, bool or non-integral Fraction entry, and g of another
+        # dimension.  Half the pairs are f and f plus one exponent, half two
+        # random polynomials; some int cases hold a zero direction.  Same answer
+        # (as ints) or same error type and message
+        rng = random.Random(53)
+        seen = Counter()
+        for i in range(2400):
+            dim = rng.randint(1, 4)
+            f = random_poly(rng, dim)
+            g = (random_poly(rng, dim) if i % 2
+                 else f + TropPoly(dim, [random_int_vector(rng, dim, -3, 3)]))
+            dirs = [random_primitive_direction(rng, dim, 3) for _ in range(rng.randint(0, 4))]
+            kind = i // 2 % 6
+            if kind == 0 and rng.random() < 0.3:
+                dirs.insert(rng.randrange(len(dirs) + 1), (0,) * dim)
+            elif kind == 1:
+                dirs = [tuple(map(Fraction, d)) for d in dirs]
+            elif kind == 2:
+                zero = TropPoly.zero(dim)
+                f, g = rng.choice([(f, zero), (zero, g), (zero, zero)])
+            elif kind == 3:
+                dirs.insert(rng.randrange(len(dirs) + 1),
+                            random_int_vector(rng, dim + rng.choice((-1, 1)), 1, 3))
+            elif kind == 4:
+                bad = list(random_int_vector(rng, dim, 1, 3))
+                bad[rng.randrange(dim)] = rng.choice((0.5, 1.0, True, Fraction(1, 2)))
+                dirs.insert(rng.randrange(len(dirs) + 1), tuple(bad))
+            elif kind == 5:
+                g = random_poly(rng, dim + 1)
+            got = outcome(differing_direction, f, g, dirs)
+            assert repr(got) == repr(outcome(reference_differing_direction, f, g, dirs))
+            seen["error" if type(got) is tuple and type(got[0]) is type else
+                 "equal" if got is None else "direction"] += 1
+        assert seen["error"] >= 1000 and seen["direction"] >= 500 and seen["equal"] >= 250, seen
 
     def test_space_equality_implies_ray_equality(self):
         rng = random.Random(17)

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd
@@ -14,7 +15,8 @@ from tropfan import (PointInSupportError, TropPoly, WitnessPair, fn_eq_on_rays,
 from tropfan.lattice import hnf
 from tropfan.witness import witness_to_json
 
-from helpers import (FAN_X, random_primitive_direction, random_rational_point,
+from helpers import (FAN_X, outcome, random_int_vector, random_poly,
+                     random_primitive_direction, random_rational_point,
                      reference_kernel_basis, reference_separating_pair,
                      reference_verify_witness)
 
@@ -253,6 +255,60 @@ class TestVerifyWitness:
                             w.direction, w.basis, w.K)
         assert not verify_witness(moved, dirs)
 
+
+class TestPairEvaluation:
+    def test_verify_matches_per_polynomial_reference(self):
+        # verify_witness evaluates f and g together at each point; the
+        # reference evaluates them one at a time.  Eight kinds of case, in
+        # turn: the witness as built, f and g swapped (f then holds an
+        # exponent g lacks), two random polynomials, a zero polynomial on
+        # either side or both, directions scaled by positive Fractions, a
+        # moved rational point, a direction or point of the wrong length,
+        # and a float or bool in a direction or the point; some unions are
+        # empty.  Same verdict or same error type and message
+        rng = random.Random(97)
+        seen = Counter()
+        for i in range(1600):
+            n = rng.randint(1, 4)
+            dirs = [random_primitive_direction(rng, n) for _ in range(rng.randint(0, 5))]
+            try:
+                w = separating_pair(dirs, random_rational_point(rng, n, den_bound=12))
+            except PointInSupportError:
+                continue
+            kind = i % 8
+            if kind == 1:
+                w = replace(w, f=w.g, g=w.f)
+            elif kind == 2:
+                w = replace(w, f=random_poly(rng, n), g=random_poly(rng, n))
+            elif kind == 3:
+                # a zero polynomial evaluates to None without a type check
+                zero = TropPoly.zero(n)
+                w = rng.choice([replace(w, f=zero), replace(w, g=zero),
+                                replace(w, f=zero, g=zero)])
+                if rng.random() < 0.3:
+                    w = replace(w, point=w.point[:-1] + (0.5,))
+            elif kind == 4:
+                dirs = [tuple(Fraction(rng.randint(1, 6), rng.randint(1, 6)) * c for c in d)
+                        for d in dirs]
+            elif kind == 5:
+                w = replace(w, point=random_rational_point(rng, n, den_bound=12))
+            elif kind == 6:
+                bad = random_int_vector(rng, n + rng.choice((-1, 1)), -3, 3)
+                if rng.random() < 0.5:
+                    w = replace(w, point=bad)
+                else:
+                    dirs.insert(rng.randrange(len(dirs) + 1), bad)
+            elif kind == 7:
+                bad = list(rng.choice(dirs + [w.point]))
+                bad[rng.randrange(n)] = rng.choice((0.5, 1.0, True))
+                if rng.random() < 0.5:
+                    w = replace(w, point=tuple(bad))
+                else:
+                    dirs.insert(rng.randrange(len(dirs) + 1), tuple(bad))
+            got = outcome(verify_witness, w, dirs)
+            assert got == outcome(reference_verify_witness, w, dirs), (w, dirs)
+            seen[got if type(got) is bool else "error"] += 1
+        assert seen[True] >= 300 and seen[False] >= 300 and seen["error"] >= 150, seen
 
 class TestAgainstFractionReference:
     def test_pairs_and_verdicts_match(self):

@@ -5,12 +5,8 @@ The whole problem is scaled by the common denominator of its entries and
 pivoted on an integer tableau with exact division (Edmonds 1967; Bareiss
 1968), so Fractions appear only at the boundary: in checking rational input
 and in reading the solution.  Bland's pivoting rule guarantees termination
-despite degeneracy.  Each tableau column is stored once up to sign: a
-column that copies or negates an earlier one, or is a multiple of an
-artificial's, is read through its twin with a derived reduced cost, so the
-separator LP's w- and slack columns cost no row operations.  This is the
-workhorse behind convex-hull redundancy tests and separating-point
-certificates.
+despite degeneracy.  This is the workhorse behind convex-hull membership
+tests and separating-point certificates.
 """
 
 from __future__ import annotations
@@ -37,13 +33,8 @@ def solve_eq_nonneg(A: Sequence[Sequence], b: Sequence) -> Optional[list[Fractio
     factor cancels: uniform scaling moves neither the pivots nor x).  A pivot
     on p = T[r][e] keeps row r and maps every other row, the reduced-cost row
     included, to (p * T[i] - T[i][e] * T[r]) // D, a division that is always
-    exact; a row with T[i][e] = 0 is only rescaled, and not at all when
-    p = D.  Every pivot is positive, so every sign and every ratio comparison
+    exact.  Every pivot is positive, so every sign and every ratio comparison
     is that of the Fraction tableau, and Bland's rule picks the same pivots.
-    Each column is stored once up to sign (_tableau): a copy or negation of
-    a stored column, or a multiple of an artificial's, is read through it,
-    so Bland's rule scans the same columns in the same order and takes the
-    same pivots, and x is the same.
     """
     m = len(A)
     if len(b) != m:
@@ -60,26 +51,33 @@ def solve_eq_nonneg(A: Sequence[Sequence], b: Sequence) -> Optional[list[Fractio
         rows = [[e * den if type(e) is int else e.numerator * (den // e.denominator)
                  for e in row] for row in rows]
 
-    T, red, order = _tableau(rows, n)
+    # Phase I on [A | I | b], rows negated where b < 0: the reduced-cost row
+    # of the artificial sum is minus the column sums plus the artificials'
+    # unit costs, which leaves their entries 0.
+    width = n + m
+    T = []
+    for i, row in enumerate(rows):
+        if row[n] < 0:
+            row = list(map(neg, row))
+        T.append(row[:n] + [int(j == i) for j in range(m)] + row[n:])
+    red = [-s for s in map(sum, zip(*T))]
+    red[n:width] = [0] * m
+    basis = list(range(n, width))
     D = 1
-    basis = list(range(n, n + m))
     while True:
-        # Bland's rule: the first column, in the order of [A | I], whose
-        # reduced cost s * red[q] - c * D is negative
-        for enter, (q, s, c) in enumerate(order):
-            if s * red[q] < c * D:
-                break
-        else:
+        # Bland's rule: the first column whose reduced cost is negative
+        enter = next((j for j in range(width) if red[j] < 0), None)
+        if enter is None:
             break
-        col = [s * row[q] for row in T]
         leave = None
-        for i, a in enumerate(col):
+        for i, row in enumerate(T):
+            a = row[enter]
             if a > 0:
                 if leave is None:
                     leave = i
                     continue
-                # ratio T[i][rhs] / a against T[leave][rhs] / col[leave]
-                lhs = T[i][-1] * col[leave]
+                # ratio T[i][rhs] / a against T[leave][rhs] / T[leave][enter]
+                lhs = row[-1] * T[leave][enter]
                 rhs = T[leave][-1] * a
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
@@ -88,14 +86,12 @@ def solve_eq_nonneg(A: Sequence[Sequence], b: Sequence) -> Optional[list[Fractio
             # guard anyway.
             return None
         prow = T[leave]
-        p = col[leave]
-        for i, f in enumerate(col):
-            if f:
-                if i != leave:
-                    T[i] = [(p * e - f * g) // D for e, g in zip(T[i], prow)]
-            elif p != D:
-                T[i] = [p * e // D for e in T[i]]
-        f = s * red[q] - c * D
+        p = prow[enter]
+        for i, row in enumerate(T):
+            if i != leave:
+                f = row[enter]
+                T[i] = [(p * e - f * g) // D for e, g in zip(row, prow)]
+        f = red[enter]
         red = [(p * e - f * g) // D for e, g in zip(red, prow)]
         D = p
         basis[leave] = enter
@@ -107,49 +103,6 @@ def solve_eq_nonneg(A: Sequence[Sequence], b: Sequence) -> Optional[list[Fractio
         if j < n:
             x[j] = Fraction(T[i][-1], D)
     return x
-
-
-def _tableau(rows: list[list[int]], n: int):
-    """The phase-I tableau of the integer rows [A | b] (n columns of A),
-    each column stored once up to sign; returns (T, red, order).
-
-    Rows with b_i < 0 are negated first.  T's columns are the artificials
-    e_i, then each column of A that neither copies nor negates an earlier
-    stored column nor is a multiple v e_i, then b.  red is the reduced-cost
-    row of the artificial sum over them: minus the column sums, plus the
-    artificials' unit costs, which leaves their entries 0.  order[j] = (q, s,
-    c) for column j of [A | I], in Bland's order: the column is s times T's
-    column q, and its reduced cost is s * red[q] - c * D, where s = c = v
-    for v e_i (artificial i costs 1) and c = 0 otherwise.  A pivot maps
-    every column by the same linear map, so these relations hold in every
-    later tableau.
-    """
-    m = len(rows)
-    rows = [list(map(neg, row)) if row[n] < 0 else row for row in rows]
-    cols = list(zip(*rows))
-    twin = {}  # a stored column and its negation -> (q, s, 0)
-    kept = []
-    order = []
-    for col in cols[:n]:
-        t = twin.get(col)
-        if t is None:
-            if col.count(0) == m - 1:
-                v = sum(col)  # the one nonzero entry
-                t = (col.index(v), v, v)
-            else:
-                q = m + len(kept)
-                twin[tuple(map(neg, col))] = (q, -1, 0)
-                twin[col] = t = (q, 1, 0)
-                kept.append(col)
-        order.append(t)
-    order += [(i, 1, 0) for i in range(m)]
-    kept.append(cols[n])
-    if len(kept) <= n:  # some column is a twin: rebuild the rows without it
-        rows = [list(row) for row in zip(*kept)]
-    T = [[0] * m + row for row in rows]
-    for i in range(m):
-        T[i][i] = 1
-    return T, [0] * m + [-s for s in map(sum, kept)], order
 
 
 def _check_dims(dim: int, pts: Sequence[Sequence]) -> None:

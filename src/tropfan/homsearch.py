@@ -512,13 +512,15 @@ def hom_from_images(images: Sequence[TropVector], source: GenMatrix) -> Hom:
 
 
 def apply_functor(T: Sequence[Sequence[int]], target_gens: GenMatrix) -> tuple[TropVector, ...]:
-    """Images induced by an integer matrix: row i of T * (generator rows)."""
+    """Images induced by an integer matrix: row i of T * (generator rows).
+    T's entries go through exact_int, so bools and floats are refused."""
     m = target_gens.n
     G = target_gens.matrix()
     images = []
     for row in T:
         if len(row) != m:
             raise ValueError(f"matrix row has length {len(row)}, expected {m}")
+        row = list(map(exact_int, row))
         entries = [sum(row[j] * G[j][b] for j in range(m))
                    for b in range(target_gens.n_labels)]
         images.append(TropVector(entries))

@@ -45,7 +45,10 @@ class LatticeSpanError(ValueError):
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
+    """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g.  a and b
+    must be integers (exact_int), so bools and floats are refused."""
+    if type(a) is not int or type(b) is not int:
+        a, b = exact_int(a), exact_int(b)
     x, next_x = 1, 0
     y, next_y = 0, 1
     g, next_g = a, b

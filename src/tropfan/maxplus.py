@@ -204,5 +204,5 @@ class TropVector:
 
 
 def zero_unit(size: int) -> TropVector:
-    """The multiplicative identity: the all-zero vector."""
-    return TropVector([0] * size)
+    """The multiplicative identity: the all-zero vector (size by exact_int)."""
+    return TropVector([0] * exact_int(size))

@@ -6,7 +6,8 @@ define the same function on all of R^n exactly when each exponent set lies
 in the other's convex hull.  fn_eq_on_space decides just that, for the
 exponents the two do not share: two tests that need no LP refute most
 exponents outside, and a hull LP settles the rest.  separating_point
-certifies inequality with a rational point.  Two polynomials define the
+certifies inequality with a rational point, from the first unshared
+exponent outside the other polynomial's hull.  Two polynomials define the
 same function on a union of rays exactly when they agree at one point per
 ray; the pair is evaluated there in one pass, each monomial of f and g
 once.  The normal form is canonical(): the vertex set of the exponent hull.
@@ -99,15 +100,16 @@ class TropPoly:
 
     def eval(self, point: Sequence) -> Optional[Fraction | int]:
         """Max over monomials of u . point; None (minus infinity) for zero.
-        A point that is not all int must be rational (no floats or bools); it
-        is cleared to integers over the lcm D of its denominators (_cleared)
-        and gives the Fraction max(u . D point) / D.  Each u . point is one
-        sum(map(mul, u, point)) over ints."""
+        A point that is not all int must be rational (no floats or bools),
+        for the zero polynomial too; it is cleared to integers over the lcm D
+        of its denominators (_cleared) and gives the Fraction
+        max(u . D point) / D.  Each u . point is one sum(map(mul, u, point))
+        over ints."""
         if len(point) != self.dim:
             raise ValueError(f"point has length {len(point)}, expected {self.dim}")
+        x, D = _cleared(point)
         if not self.monomials:
             return None
-        x, D = _cleared(point)
         top = max([sum(map(mul, u, x)) for u in self.monomials])
         return top if D is None else Fraction(top, D)
 
@@ -157,8 +159,8 @@ def _pair_differs(f: TropPoly, g: TropPoly) -> Callable[[Sequence], bool]:
     f's values are a prefix of the list and g's a suffix.  Each point gets
     one length check, one type check and one clearing (_cleared); the two
     maxima share its denominator, so their integers are compared.  As in
-    eval, a zero polynomial's max is None, and with no monomials at all the
-    point's entries are not checked."""
+    eval, a zero polynomial's max is None, and the point's entries are
+    checked even when f and g have no monomials at all."""
     f._check_dim(g)
     fm, gm = f.monomials, g.monomials
     mono = list(fm - gm)
@@ -171,8 +173,6 @@ def _pair_differs(f: TropPoly, g: TropPoly) -> Callable[[Sequence], bool]:
     def differs(point: Sequence) -> bool:
         if len(point) != dim:
             raise ValueError(f"point has length {len(point)}, expected {dim}")
-        if not mono:
-            return False
         x, _ = _cleared(point)
         vals = [sum(map(mul, u, x)) for u in mono]
         return max(vals[:end], default=None) != max(vals[split:], default=None)
@@ -195,8 +195,8 @@ def _refuted(u: Monomial, pts: Sequence[Monomial]) -> bool:
 
 def _is_vertex(u: Monomial, mono: Sequence[Monomial]) -> bool:
     """Whether u is no convex combination of the other exponents in the
-    sorted list mono: the LP-free refutations first (the first and last of
-    mono pass the lexicographic one), then one hull LP."""
+    sorted list mono, for canonical(): the LP-free refutations first (the
+    first and last of mono pass the lexicographic one), then one hull LP."""
     others = [v for v in mono if v != u]
     return not others or _refuted(u, others) or not in_convex_hull(u, others)
 
@@ -269,19 +269,17 @@ def separating_point(f: TropPoly, g: TropPoly) -> Optional[tuple[Fraction, ...]]
     """A rational point where f and g differ, or None when they agree on R^n.
 
     The functions agree exactly when each exponent hull contains the other,
-    so only the exponents in the symmetric difference are tested: the first
-    (in sorted order, f's before g's) that is a vertex of its own hull and
-    that a strict-separation LP splits off from the other exponent set
-    yields the point.
+    so only the exponents in the symmetric difference are tested, in sorted
+    order, f's before g's.  Any of them outside the other exponent hull
+    gives a certificate, so the first that a strict-separation LP splits
+    off from the other exponent set yields the point.
     """
     f._check_dim(g)
     if f.is_zero or g.is_zero:
         raise ValueError("function equality is defined for nonzero polynomials")
     for p, q in ((f, g), (g, f)):
-        mono, others = p.sorted_monomials(), q.sorted_monomials()
-        for u in mono:
-            if u in q.monomials or not _is_vertex(u, mono):
-                continue
+        others = q.sorted_monomials()
+        for u in sorted(p.monomials - q.monomials):
             w = strict_separator(u, others)
             if w is not None:
                 return tuple(w)

@@ -761,15 +761,16 @@ def outcome(fn, *args):
 
 
 def reference_checked_eval(p: TropPoly, point):
-    """TropPoly.eval's checks, then reference_eval: the length first, then,
-    for a nonzero polynomial, every entry through exact_rational."""
+    """TropPoly.eval's checks, then reference_eval: the length first, then
+    every entry through exact_rational, for the zero polynomial too."""
     from tropfan.maxplus import exact_rational
 
     if len(point) != p.dim:
         raise ValueError(f"point has length {len(point)}, expected {p.dim}")
+    point = [exact_rational(x) for x in point]
     if p.is_zero:
         return None
-    return reference_eval(p, [exact_rational(x) for x in point])
+    return reference_eval(p, point)
 
 
 def reference_verify_witness(w, z_dirs):

@@ -39,6 +39,7 @@ PINNED_WITNESSES = [
 PINNED_POLYEQ = [
     (["--on-space", "2", "x1^2 + x2^2 + 0", "x1^2 + x2^2 + x1*x2 + 0"], 0, "equal\n"),
     (["--on-space", "2", "x1 + x2", "x1"], 1, 'unequal\n["0", "1"]\n'),
+    (["--on-space", "1", "x1^2 + x1 + 0", "0"], 1, 'unequal\n["1"]\n'),
     (["--on-fan", "fan3_r2.json", "x1 + x2", "x1 + x2 + 0"], 0, "equal\n"),
     (["--on-fan", "fan5_r3.json", "x1 + x3", "x1"], 1, 'unequal\n["-1", "0", "1"]\n'),
 ]
@@ -359,7 +360,8 @@ class TestPolyeq:
         assert out == 'unequal\n["1", "0"]\n'
 
     @pytest.mark.parametrize("args, code, out", PINNED_POLYEQ, ids=[
-        "space-equal", "space-unequal", "fan3_r2-equal", "fan5_r3-unequal"])
+        "space-equal", "space-unequal", "space-unshared-non-vertex", "fan3_r2-equal",
+        "fan5_r3-unequal"])
     def test_pinned_bytes(self, args, code, out):
         # the same lines are pinned in CI against the installed console script
         args = [str(DEMO_FANS / a) if a.endswith(".json") else a for a in args]

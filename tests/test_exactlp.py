@@ -242,9 +242,9 @@ class TestDifferential:
 
 
 def _twin_system(rng, k):
-    """One seeded system whose columns solve_eq_nonneg stores once up to
-    sign: fresh columns, copies and negations of earlier ones, zero columns,
-    and multiples v e_i (the -e_i slacks among them); int or Fraction data
+    """One seeded system with dependent columns: fresh columns, copies and
+    negations of earlier ones, zero columns, and multiples v e_i (the -e_i
+    slacks among them, like the separator LP's); int or Fraction data
     by k; feasible by construction, b = 0 (fully degenerate), or a random
     right-hand side (mostly infeasible).  Returns A, b and the column kinds."""
     m = rng.randint(1, 5)
@@ -285,9 +285,10 @@ def _twin_system(rng, k):
 
 
 def test_twin_columns_same_solution_as_fraction_tableau():
-    """Copies, negations, zero columns and multiples of e_i are read through
-    a stored twin; the pivots and x stay those of the Fraction tableau, on
-    rows whose sign the normalisation keeps and on rows it flips."""
+    """Duplicated, negated and zero columns and multiples of e_i, as the
+    separator LP has them, leave the pivots and x those of the Fraction
+    tableau, on rows whose sign the normalisation keeps and on rows it
+    flips."""
     rng = random.Random(20261020)
     seen = Counter()
     for k in range(5000):
@@ -304,31 +305,6 @@ def test_twin_columns_same_solution_as_fraction_tableau():
                 seen["slack on a flipped row" if b[i] < 0 else "slack on a kept row"] += 1
     assert min(seen.values()) >= 300, seen
     assert len(seen) == 13, seen
-
-
-def test_separator_tableau_stores_each_column_once(monkeypatch):
-    """Work gate: the separator LP's w- columns negate its w+ columns and its
-    slack columns are -e_v, so its tableau stores dim + k + 1 columns, the
-    right-hand side included, where the full tableau has 2 dim + 2 k + 1;
-    every pivot rewrites only the stored columns."""
-    shapes = []
-    real = exactlp._tableau
-
-    def spy(rows, n):
-        T, red, order = real(rows, n)
-        shapes.append((len(T[0]), len(red), len(order)))
-        return T, red, order
-
-    monkeypatch.setattr(exactlp, "_tableau", spy)
-    u = (3, 1, 2)
-    pts = [(0, 0, 0), (1, 2, 0), (0, 1, 3), (2, -1, 1)]
-    w = strict_separator(u, pts)
-    dim, k = len(u), len(pts)
-    assert shapes == [(dim + k + 1, dim + k + 1, 2 * dim + 2 * k)]
-    uw = sum(a * c for a, c in zip(u, w))
-    assert all(uw >= 1 + sum(a * c for a, c in zip(v, w)) for v in pts)
-    monkeypatch.undo()
-    assert w == strict_separator(u, pts)
 
 
 def _fraction_calls(fn):

@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from tropfan import (LabelMismatchError, NotAUnitError, TropVector, ext_add,
-                     ext_max, zero_unit)
+from tropfan import (LabelMismatchError, NotAUnitError, TropVector, apply_functor, ext_add,
+                     ext_max, xgcd, zero_unit)
 from tropfan.maxplus import exact_rational
+
+from helpers import genmatrix_y
 
 entries = st.lists(st.integers(-50, 50), min_size=1, max_size=6)
 pairs = st.integers(1, 6).flatmap(
@@ -205,3 +207,18 @@ def test_decompose_reconstructs(es):
     f1, f2 = v.decompose(0, len(es) - 1)
     assert f1.degree == 0 and f2.degree == 0
     assert f1 + f2 == v
+
+
+@pytest.mark.parametrize("call, bad", [
+    (lambda: xgcd(1.5, 3), "1.5"),
+    (lambda: xgcd(True, 3), "True"),
+    (lambda: xgcd(3, False), "False"),
+    (lambda: zero_unit(True), "True"),
+    (lambda: zero_unit(2.0), "2.0"),
+    (lambda: apply_functor(((True, 0), (0, 1)), genmatrix_y()), "True"),
+], ids=["xgcd-float", "xgcd-bool-a", "xgcd-bool-b", "zero_unit-bool", "zero_unit-float",
+        "apply_functor-bool"])
+def test_integer_arguments_refuse_floats_and_bools(call, bad):
+    # refused, not truncated or read as 1 and 0: exactness is the contract
+    with pytest.raises(ValueError, match=f"expected an integer, got {bad}$"):
+        call()

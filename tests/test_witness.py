@@ -281,7 +281,7 @@ class TestPairEvaluation:
             elif kind == 2:
                 w = replace(w, f=random_poly(rng, n), g=random_poly(rng, n))
             elif kind == 3:
-                # a zero polynomial evaluates to None without a type check
+                # a zero polynomial evaluates to None after the type check
                 zero = TropPoly.zero(n)
                 w = rng.choice([replace(w, f=zero), replace(w, g=zero),
                                 replace(w, f=zero, g=zero)])

@@ -22,12 +22,13 @@ of dimension two or more, reported as cone records that flag the result
 inexhaustive.  No step iterates all (classes + 1)^m patterns or all class
 multisets: records and expansions walk the class sets that hold a circuit
 (for expansions, that the circuits inside cover), then the set's count
-vectors, and lay each multiset from one table of layouts per count shape.
-Records share each circuit's sorted placements, and the JSON lines dump
-each distinct placement matrix once.  An expansion solves one bounded
-kernel per class set, over the class totals, spreads the totals over the
-slots, keeps the points whose rows meet a target lattice's forms, and lays
-each with _place, as the families are laid.
+vectors, and lay each multiset from its count shape's table of layouts,
+built once per process, not per call, and shared by every enumeration and
+expansion.  Records share each circuit's sorted placements, and the JSON
+lines dump each distinct placement matrix once.  An expansion solves one
+bounded kernel per class set, over the class totals, spreads the totals
+over the slots, keeps the points whose rows meet a target lattice's forms,
+and lays each with _place, as the families are laid.
 
 An enumeration holds thousands of per-member results (HomFamily, ConeRecord,
 MorphismFamily), and the cyclic collector walks every one of them on each
@@ -226,22 +227,19 @@ def _lattice_points(points: list, cols: Sequence, P: int) -> list:
     return points
 
 
-def _layouts(shape: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+@cache
+def _layouts(shape: tuple[int, ...]
+             ) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
     """Every way to lay values with the given counts over m = sum(shape)
-    slots, as (value index of each slot, ascending slots of each value)."""
+    slots, as (value index of each slot, ascending slots of each value); one
+    immutable table per shape and process, which every caller shares."""
     m = sum(shape)
     ways: list = [((), range(m))]  # (slots of the values laid so far, free slots)
     for k in shape:
         ways = [(w + (c,), [b for b in free if b not in c])
                 for w, free in ways for c in itertools.combinations(free, k)]
-    out = []
-    for w, _ in ways:
-        key = [0] * m
-        for i, bs in enumerate(w):
-            for b in bs:
-                key[b] = i
-        out.append((tuple(key), w))
-    return out
+    return tuple((tuple(next(i for i, bs in enumerate(w) if b in bs) for b in range(m)), w)
+                 for w, _ in ways)
 
 
 def _compositions(total: int, count: int, limit: int) -> list[tuple[int, ...]]:
@@ -335,7 +333,7 @@ class HomEnumeration:
         # column[a][t] is t * d_a, for every part t a slot of class a can take
         column = {a: [tuple(t * e for e in class_dirs[a]) for t in range(limit[a] + 1)]
                   for a in live}
-        spread, layouts = cache(_compositions), cache(_layouts)  # built once per call
+        spread = cache(_compositions)  # per call; _layouts is cached per process
         totals: dict[tuple[int, ...], list] = {}  # class set -> positive class totals
         out = {self.zero_matrix}
         for vals, shape, _ in _class_multisets(live, self.circuits, m, covered=True):
@@ -350,7 +348,7 @@ class HomEnumeration:
                 continue
             classes = [a for a, k in zip(S, counts) for _ in range(k)]
             cols = [column[a] for a in classes]
-            for _, slots in layouts(shape):
+            for _, slots in _layouts(shape):
                 at = [b for a, bs in zip(vals, slots) if a is not None for b in bs]
                 kept = points if psi is None else _lattice_points(
                     points, [psi[a][b] for a, b in zip(classes, at)], P)
@@ -437,14 +435,11 @@ def enumerate_homs(source: GenMatrix, target_size: int,
 
     records: list[ConeRecord] = []
     keys: list[tuple[int, ...]] = []  # records[i]'s sort key, None as -1
-    tables: dict[tuple[int, ...], list] = {}  # shape -> (key getter, slots) per layout
     laid: dict[tuple, list] = {}  # (circuit, shape, value indices) -> sorted bases per layout
     for vals, shape, live in _class_multisets([a for a, _ in reps], circuits, target_size):
         if sum(prod(map(shape.__getitem__, idx)) for _, idx in live) < 2:
             continue
-        if shape not in tables:
-            tables[shape] = [(itemgetter(*key), slots) for key, slots in _layouts(shape)]
-        table = tables[shape]
+        table = _layouts(shape)
         for c, idx in live:
             if (c, shape, idx) not in laid:
                 # a circuit has two or more classes, so the getter returns a tuple
@@ -454,13 +449,15 @@ def enumerate_homs(source: GenMatrix, target_size: int,
         per_circuit = [laid[c, shape, idx] for c, idx in live]
         bases_at = (per_circuit[0] if len(live) == 1 else
                     [tuple(sorted(itertools.chain(*bs))) for bs in zip(*per_circuit)])
-        records += [ConeRecord(assign(vals), bases) for (assign, _), bases in zip(table, bases_at)]
         sort_vals = [-1 if a is None else a for a in vals]
-        keys += [assign(sort_vals) for assign, _ in table]
+        for (key, _), bases in zip(table, bases_at):
+            assign = itemgetter(*key)  # two or more slots, so it returns a tuple
+            records.append(ConeRecord(assign(vals), bases))
+            keys.append(assign(sort_vals))
 
     fams = tuple(sorted(families, key=HomFamily.sort_key))
     # ConeRecord.sort_key order (assignments are unique), with the keys the
-    # layout getters built instead of one Python-level key call per record
+    # layout keys' getters built instead of one Python-level key call per record
     recs = tuple(map(records.__getitem__, sorted(range(len(keys)), key=keys.__getitem__)))
     return HomEnumeration(n, target_size, source, target_lattice, fams, recs, circuits)
 

@@ -342,6 +342,51 @@ def definitional_hom_oracle(source: GenMatrix, target_size: int, bound: int,
     return homs, refused
 
 
+def definitional_morphism_oracle(source: Fan1D, target: Fan1D, bound: int):
+    """Every integer matrix T, target.ambient_dim x source.ambient_dim with
+    entries in [-bound, bound], that is a fan morphism source -> target by
+    the definition: for each ray direction d of the source, T d is zero or
+    a positive multiple of a ray direction of the target.  It uses neither
+    the paper's theorem nor the reduction to homomorphisms of evaluation
+    semirings, and weights play no part.
+
+    T is tried row by row, and row i fixes coordinate i of every T d.  The
+    images allowed for d are zero and k e, for k >= 1 and e a target ray
+    direction, with no entry above bound * |d|_1, which every T in the box
+    respects.  A choice of rows whose coordinates so far begin no allowed
+    image of some d is abandoned, since no choice of the later rows can
+    repair it; so every T in the box is decided.
+    """
+    import itertools
+    from math import gcd
+
+    p = target.ambient_dim
+    dirs = source.directions
+    starts = []  # per source direction: the beginnings of its allowed images
+    for d in dirs:
+        cap = bound * sum(map(abs, d))
+        allowed = {(0,) * p} | {tuple(k * e for e in t) for t in target.directions
+                                for k in range(1, cap // max(map(abs, t)) + 1)}
+        assert all(not any(v) or tuple(e // gcd(*v) for e in v) in target.directions
+                   for v in allowed)
+        starts.append({v[:i] for v in allowed for i in range(p + 1)})
+    rows = {r: tuple(sum(a * b for a, b in zip(r, d)) for d in dirs)
+            for r in itertools.product(range(-bound, bound + 1), repeat=source.ambient_dim)}
+    found = set()
+
+    def grow(chosen, images):  # images[j]: the coordinates of T dirs[j] so far
+        if len(chosen) == p:
+            found.add(tuple(chosen))
+            return
+        for r, values in rows.items():
+            longer = [v + (e,) for v, e in zip(images, values)]
+            if all(v in s for v, s in zip(longer, starts)):
+                grow(chosen + [r], longer)
+
+    grow([], [()] * len(dirs))
+    return found
+
+
 def random_source_with_classes(rng, max_rows=3, max_labels=6):
     """A random generator matrix whose columns are drawn as zero, as a
     positive or negative multiple of an earlier nonzero column, or fresh;

@@ -8,6 +8,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from types import SimpleNamespace
 
 import pytest
@@ -21,7 +22,7 @@ from tropfan import homsearch, lattice as lattice_module
 from tropfan.fan import direction_classes, primitive
 
 from helpers import (B1, B2, FAN_X, FAN_Y, MG_ROWS, box_hom_oracle, column_permutations,
-                     definitional_hom_oracle,
+                     definitional_hom_oracle, definitional_morphism_oracle,
                      genmatrix_x, genmatrix_y, lattice_y, matrix_from_ray,
                      random_degree_zero_row, random_int_vector,
                      random_primitive_direction, random_source_with_classes,
@@ -653,6 +654,72 @@ class TestEnumerateMorphisms:
         assert fam.matrix_for(Fraction(2)) == scale_matrix(fam.base_T, 2)
 
 
+def ray_images(T, fan):
+    """The images T d of the fan's ray directions, in ray order."""
+    return tuple(tuple(sum(map(mul, row, d)) for row in T) for d in fan.directions)
+
+
+def image_bound(Ts, fan):
+    """The least expand_T bound that holds every T in Ts: the largest entry
+    of the image matrix T * (weighted evaluation rows), whose column for a
+    ray is its weight times T d."""
+    return max((r.weight * max(map(abs, v))
+                for T in Ts for r, v in zip(fan.rays, ray_images(T, fan))), default=0)
+
+
+def weighted_balanced_fan(rng, n, k):
+    """A random balanced fan in R^n with k rays: k - 1 distinct random
+    primitive directions with weights 1-3, and the ray that balances them."""
+    while True:
+        dirs = [random_primitive_direction(rng, n, bound=2) for _ in range(k - 1)]
+        weights = [rng.randint(1, 3) for _ in dirs]
+        rest = tuple(-sum(map(mul, weights, col)) for col in zip(*dirs))
+        if any(rest) and len({*dirs, primitive(rest)}) == k:
+            return Fan1D(n, [*map(Ray, dirs, weights), Ray(rest, gcd(*rest))])
+
+
+class TestFanSideOracle:
+    # the morphisms checked against the definition (T d is zero or a
+    # positive multiple of a target ray direction, for each source ray
+    # direction d), not through the reduction expand_T goes through.  When
+    # the source's rays do not span, T is fixed only on their span and
+    # expand_T returns the canonical solve, so images are compared, not T,
+    # and expand_T is bounded by image entries
+
+    @pytest.mark.parametrize("src, dst, bound, count", [
+        (FAN_Y, FAN_X, 3, 9), (FAN_Y, FAN_Y, 4, 7), (FAN_X, FAN_Y, 2, 5), (FAN_X, FAN_X, 1, 17),
+    ], ids=["Y->X", "Y->Y", "X->Y", "X->X"])
+    def test_reference_pairs(self, src, dst, bound, count):
+        box = definitional_morphism_oracle(src, dst, bound)
+        assert len(box) == count
+        members = enumerate_morphisms(src, dst).expand_T(image_bound(box, src))
+        # both reference sources span, so T is fixed by its images
+        assert box == {T for T in members if max(map(abs, itertools.chain(*T))) <= bound}
+
+    def test_random_balanced_pairs(self):
+        # 150 seeded pairs in R^2 and R^3 with 2-4 rays: T box [-2, 2] for a
+        # source in R^2 and [-1, 1] in R^3; every box morphism's images are
+        # the images of an expand_T member, and every member meets the
+        # definition
+        rng = random.Random(2026102011)
+        spanning = with_members = flat_with_members = 0
+        for _ in range(150):
+            src, dst = (weighted_balanced_fan(rng, rng.randint(2, 3), rng.randint(2, 4))
+                        for _ in range(2))
+            box = definitional_morphism_oracle(src, dst, 2 if src.ambient_dim == 2 else 1)
+            members = enumerate_morphisms(src, dst).expand_T(image_bound(box, src))
+            images = {ray_images(T, src) for T in members}
+            assert {ray_images(T, src) for T in box} <= images, (src, dst)
+            for v in itertools.chain(*images):
+                assert not any(v) or primitive(v) in dst.directions, (src, dst, v)
+            spans = sum(map(any, lattice_module.hnf(src.directions)[0])) == src.ambient_dim
+            spanning += spans
+            with_members += len(box) > 1
+            flat_with_members += len(box) > 1 and not spans
+        assert spanning >= 60 and 150 - spanning >= 60
+        assert with_members >= 50 and flat_with_members >= 10
+
+
 class TestComposition:
     def test_line_fan_maps_nowhere_nontrivially(self):
         # the image of the full line under a nonzero linear map is a line,
@@ -871,23 +938,53 @@ class TestLayoutTables:
     def test_layout_table_once_per_count_shape(self, monkeypatch):
         # work-counter gate: X -> full:6 lays its 16,560 records from 26
         # layout tables, one per count shape, where the arrangement walk
-        # entered 33,177 recursive frames; a repeated query builds fresh
-        # tables (nothing outlives a call), and so does each expansion
+        # entered 33,177 recursive frames; the tables live for the process,
+        # so a repeated query and an expansion build none of them again
         real = homsearch._layouts
-        built = []  # (shape, table) per build
-        monkeypatch.setattr(homsearch, "_layouts",
-                            lambda shape: built.append((shape, real(shape))) or built[-1][1])
-        runs = []
-        for _ in range(2):
-            enum = enumerate_homs(genmatrix_x(), 6)
-            assert len(enum.cone_records) == 16560
-            runs.append(dict(built))
-            assert len(runs[-1]) == len(built) <= 26
-            built.clear()
-        assert runs[0].keys() == runs[1].keys()
-        assert all(runs[0][shape] is not runs[1][shape] for shape in runs[0])
+        real.cache_clear()
+        asked = []  # the shape of each table read
+
+        def read(shape):
+            asked.append(shape)
+            return real(shape)
+
+        monkeypatch.setattr(homsearch, "_layouts", read)
+        enum = enumerate_homs(genmatrix_x(), 6)
+        assert len(enum.cone_records) == 16560
+        first = set(asked)
+        assert real.cache_info().misses == len(first) <= 26
+        asked.clear()
+        assert enumerate_homs(genmatrix_x(), 6).cone_records == enum.cone_records
+        assert set(asked) == first and real.cache_info().misses == len(first)
+        asked.clear()
         enum.expand(2)
-        assert built and len(dict(built)) == len(built)
+        assert set(asked) & first  # the expansion reads the records' tables
+        assert real.cache_info().misses == len(first | set(asked))
+        for shape in first:
+            table = real(shape)
+            assert table is real(shape) and type(table) is tuple
+            for key, slots in table:
+                assert type(key) is tuple and type(slots) is tuple
+                assert all(type(bs) is tuple for bs in slots)
+
+    def test_warm_tables_give_cold_answers(self):
+        # the tables are shared across enumerations: every draw's records and
+        # expansion, with the cache cleared before each call, equal those of
+        # a second pass in the opposite order over the tables the others built
+        cold = []
+        for gm, m, lattice, _, _ in arrangement_draws():
+            homsearch._layouts.cache_clear()
+            enum = enumerate_homs(gm, m, lattice)
+            homsearch._layouts.cache_clear()
+            cold.append((enum.families, enum.cone_records, enum.expand(3)))
+        built = homsearch._layouts.cache_info()
+        draws = list(arrangement_draws())
+        for (gm, m, lattice, _, _), answer in zip(reversed(draws), reversed(cold)):
+            enum = enumerate_homs(gm, m, lattice)
+            assert (enum.families, enum.cone_records, enum.expand(3)) == answer, (gm, m, lattice)
+        assert homsearch._layouts.cache_info().hits > built.hits
+        assert sum(bool(records) for _, records, _ in cold) >= 100
+        assert sum(len(members) > 1 for _, _, members in cold) >= 90
 
 
 def reference_lines(monkeypatch, enum):

@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 semantic negative (point in support, functions
 unequal), 2 input error, 3 inexhaustive enumeration (cone records present
 and no --expand bound given).  Each input is checked once, where it enters:
 by argparse, a loader or the library call that reads it.  Such checks raise
-ValueError, and main alone maps it to one "error:" line and exit 2.
+ValueError, and main alone maps it, and a MemoryError from an input too
+large to allocate for, to one "error:" line and exit 2.
 Enumerations stream JSON lines; rationals are printed as exact "p/q"
 strings.  With --expand B, homs and morphisms print the explicit matrices of
 the library's expand and expand_T: those whose homomorphism (image) matrix
@@ -23,7 +24,7 @@ from .fan import Fan1D, GenMatrix, check_balancing, json_int, weighted_eval_map
 from .homsearch import enumerate_homs, enumerate_morphisms
 from .lattice import Lattice
 from .tropoly import differing_direction, parse_poly, separating_point
-from .witness import PointInSupportError, separating_pair, verify_witness, witness_to_json
+from .witness import PointInSupportError, _verified_pair, witness_to_json
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -127,12 +128,10 @@ def cmd_witness(args) -> int:
         raise ValueError(f"point has {len(point)} coordinates, fan lives in "
                          f"R^{fan.ambient_dim}")
     try:
-        pair = separating_pair(fan.directions, point)
+        pair = _verified_pair(fan.directions, point)
     except PointInSupportError:
         print("in-support")
         return EXIT_NEGATIVE
-    if not verify_witness(pair, fan.directions):
-        raise AssertionError("constructed witness failed verification")
     print(witness_to_json(pair))
     return EXIT_OK
 
@@ -212,6 +211,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError:
+        print("error: the input is too large to hold in memory", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -5,16 +5,16 @@ The whole problem is scaled by the common denominator of its entries and
 pivoted on an integer tableau with exact division (Edmonds 1967; Bareiss
 1968), so Fractions appear only at the boundary: in checking rational input
 and in reading the solution.  Bland's pivoting rule guarantees termination
-despite degeneracy.  This is the workhorse behind convex-hull membership
-tests and separating-point certificates.
+despite degeneracy.  An infeasible system comes with the integer Farkas
+certificate in phase I's last reduced-cost row, so one hull LP decides
+membership and separates a point outside (hull_separator).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import lcm
-from operator import neg
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .maxplus import exact_rational
@@ -24,8 +24,11 @@ def _entry(e):
     return e if type(e) is int else exact_rational(e)
 
 
-def solve_eq_nonneg(A: Sequence[Sequence], b: Sequence) -> Optional[list[Fraction]]:
-    """Return x >= 0 with A x = b, or None when the system is infeasible.
+def solve_eq_nonneg(A: Sequence[Sequence], b: Sequence
+                    ) -> tuple[Optional[list[Fraction]], Optional[list[int]]]:
+    """(x, None) with x >= 0 and A x = b, or (None, y) when no such x exists,
+    with y an integer Farkas certificate: y . b > 0 and y . A <= 0 in every
+    column.
 
     Entries must be ints or rationals.  Rows are [A | b] times the least
     common denominator D0 of all entries, so the integer tableau T always
@@ -35,12 +38,17 @@ def solve_eq_nonneg(A: Sequence[Sequence], b: Sequence) -> Optional[list[Fractio
     included, to (p * T[i] - T[i][e] * T[r]) // D, a division that is always
     exact.  Every pivot is positive, so every sign and every ratio comparison
     is that of the Fraction tableau, and Bland's rule picks the same pivots.
+
+    Artificial i has reduced cost 1 - pi_i, for pi the simplex multipliers
+    of the sign-normalised rows.  A positive final artificial sum is pi . b,
+    and no reduced cost is negative, so pi . A <= 0: y_i = s_i (D - red[n+i])
+    is D pi with the row signs s_i (-1 where b_i < 0) undone.
     """
     m = len(A)
     if len(b) != m:
         raise ValueError(f"A has {m} rows but b has {len(b)} entries")
     if m == 0:
-        return []
+        return [], None
     n = len(A[0])
     if any(len(row) != n for row in A):
         raise ValueError("the rows of A differ in length")
@@ -55,11 +63,9 @@ def solve_eq_nonneg(A: Sequence[Sequence], b: Sequence) -> Optional[list[Fractio
     # of the artificial sum is minus the column sums plus the artificials'
     # unit costs, which leaves their entries 0.
     width = n + m
-    T = []
-    for i, row in enumerate(rows):
-        if row[n] < 0:
-            row = list(map(neg, row))
-        T.append(row[:n] + [int(j == i) for j in range(m)] + row[n:])
+    signs = [-1 if row[n] < 0 else 1 for row in rows]
+    T = [[s * e for e in row[:n]] + [int(j == i) for j in range(m)] + [s * row[n]]
+         for i, (row, s) in enumerate(zip(rows, signs))]
     red = [-s for s in map(sum, zip(*T))]
     red[n:width] = [0] * m
     basis = list(range(n, width))
@@ -81,10 +87,7 @@ def solve_eq_nonneg(A: Sequence[Sequence], b: Sequence) -> Optional[list[Fractio
                 rhs = T[leave][-1] * a
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
-        if leave is None:
-            # Unbounded phase-I cannot happen (objective bounded below by 0);
-            # guard anyway.
-            return None
+        # leave is never None: the artificial sum is bounded below by 0
         prow = T[leave]
         p = prow[enter]
         for i, row in enumerate(T):
@@ -97,12 +100,12 @@ def solve_eq_nonneg(A: Sequence[Sequence], b: Sequence) -> Optional[list[Fractio
         basis[leave] = enter
 
     if red[-1] != 0:
-        return None
+        return None, [s * (D - r) for s, r in zip(signs, red[n:width])]
     x = [Fraction(0)] * n
     for i, j in enumerate(basis):
         if j < n:
             x[j] = Fraction(T[i][-1], D)
-    return x
+    return x, None
 
 
 def _check_dims(dim: int, pts: Sequence[Sequence]) -> None:
@@ -111,42 +114,22 @@ def _check_dims(dim: int, pts: Sequence[Sequence]) -> None:
             raise ValueError(f"point {tuple(v)} has {len(v)} coordinates, expected {dim}")
 
 
-def in_convex_hull(point: Sequence, vertices: Sequence[Sequence]) -> bool:
-    """Exact test: is point a convex combination of the given vertices?
-    The entries reach solve_eq_nonneg unchanged; it checks each one once."""
+def hull_separator(point: Sequence, vertices: Sequence[Sequence]) -> Optional[tuple[int, ...]]:
+    """None when point is a convex combination of the (nonempty) vertices,
+    else a primitive integer w with point . w > v . w for every vertex v.
+
+    One LP, lambda >= 0 with sum_v lambda_v (v, 1) = (point, 1), whose entries
+    solve_eq_nonneg checks.  Its certificate (w, c) has w . v + c <= 0 <
+    w . point + c, so w separates, and w = 0 would give c <= 0 < c."""
     pts = list(vertices)
     if not pts:
-        return False
+        raise ValueError("need at least one vertex to separate from")
     dim = len(point)
     _check_dims(dim, pts)
     A = [[p[i] for p in pts] for i in range(dim)]
     A.append([1] * len(pts))
-    return solve_eq_nonneg(A, [*point, 1]) is not None
-
-
-def strict_separator(point: Sequence, others: Sequence[Sequence]) -> Optional[list[Fraction]]:
-    """A rational w with point . w >= 1 + v . w for every v in others.
-
-    Exists iff point is outside the convex hull of others.  Found by solving
-    the slack form (point - v) . (w+ - w-) - s_v = 1, all variables >= 0.
-    Each entry is checked before the differences are taken, so bools,
-    floats and strings are refused, and integer data stays integer.
-    """
-    pts = list(others)
-    dim = len(point)
-    if not pts:
-        raise ValueError("need at least one point to separate from")
-    _check_dims(dim, pts)
-    k = len(pts)
-    u = [_entry(e) for e in point]
-    A = []
-    for idx, v in enumerate(pts):
-        diff = [a - _entry(c) for a, c in zip(u, v)]
-        slack = [0] * k
-        slack[idx] = -1
-        A.append(diff + list(map(neg, diff)) + slack)
-    x = solve_eq_nonneg(A, [1] * k)
-    if x is None:
+    _, y = solve_eq_nonneg(A, [*point, 1])
+    if y is None:
         return None
-    # w+_i and w-_i are negated columns, so no basis holds both: one is 0
-    return [x[i] or -x[dim + i] for i in range(dim)]
+    g = gcd(*y[:dim])
+    return tuple(c // g for c in y[:dim])

@@ -164,10 +164,14 @@ class GenMatrix:
         return tuple(r.entries for r in self.rows)
 
     def column(self, b: int) -> tuple[int, ...]:
+        """Column b, for a label b in 0..n_labels-1 (no negative index)."""
+        b = exact_int(b)
+        if not 0 <= b < self.n_labels:
+            raise ValueError(f"label {b} outside 0..{self.n_labels - 1}")
         return tuple(r[b] for r in self.rows)
 
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(b) for b in range(self.n_labels)]
+        return list(zip(*self.matrix()))
 
     @property
     def all_unit_rows(self) -> bool:
@@ -207,8 +211,7 @@ def direction_classes(gm: GenMatrix) -> list[tuple[int, tuple[int, ...]]]:
     direction, in order of first appearance."""
     reps = []
     seen = set()
-    for a in range(gm.n_labels):
-        col = gm.column(a)
+    for a, col in enumerate(gm.columns()):
         if not any(col):
             continue
         p = primitive(col)

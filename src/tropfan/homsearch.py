@@ -57,7 +57,7 @@ from .fan import (Fan1D, GenMatrix, check_balancing, direction_classes, primitiv
 from .lattice import Lattice, hnf, solve_int
 from .maxplus import TropVector, exact_int
 from .tropoly import TropPoly, substitute_units
-from .witness import WitnessPair, separating_pair, verify_witness
+from .witness import WitnessPair, _verified_pair
 
 IntMatrix = tuple[tuple[int, ...], ...]
 Assignment = tuple[Optional[int], ...]
@@ -499,9 +499,7 @@ def hom_from_images(images: Sequence[TropVector], source: GenMatrix) -> Hom:
     matched = _match_columns(images, source)
     if isinstance(matched, int):
         dirs = [col for col in source.columns() if any(col)]
-        pair = separating_pair(dirs, tuple(v[matched] for v in images))
-        if not verify_witness(pair, dirs):
-            raise AssertionError("constructed witness failed verification")
+        pair = _verified_pair(dirs, tuple(v[matched] for v in images))
         raise NotGeometricError(
             "no homomorphism: some image column is not a nonnegative multiple "
             "of a source column", matched, pair)

@@ -47,19 +47,16 @@ def exact_rational(value) -> Fraction:
 
 
 def ext_max(a: Optional[int], b: Optional[int]) -> Optional[int]:
-    """Max of two integers extended with None as minus infinity."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return max(a, b)
+    """Max of two integers extended with None as minus infinity; the finite
+    ones go through exact_int."""
+    return max((exact_int(v) for v in (a, b) if v is not None), default=None)
 
 
 def ext_add(a: Optional[int], b: Optional[int]) -> Optional[int]:
-    """Sum of two integers extended with None as minus infinity (absorbing)."""
-    if a is None or b is None:
-        return None
-    return a + b
+    """Sum of two integers extended with None as minus infinity (absorbing);
+    the finite ones go through exact_int."""
+    finite = [exact_int(v) for v in (a, b) if v is not None]
+    return sum(finite) if len(finite) == 2 else None
 
 
 @dataclass(frozen=True, init=False, repr=False)

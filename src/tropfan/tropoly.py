@@ -5,14 +5,15 @@ defines sends x to the max of the inner products u . x.  Two polynomials
 define the same function on all of R^n exactly when each exponent set lies
 in the other's convex hull.  fn_eq_on_space decides just that, for the
 exponents the two do not share: two tests that need no LP refute most
-exponents outside, and a hull LP settles the rest.  separating_point
-certifies inequality with a rational point, from the first unshared
-exponent outside the other polynomial's hull.  Two polynomials define the
-same function on a union of rays exactly when they agree at one point per
-ray; the pair is evaluated there in one pass, each monomial of f and g
-once.  The normal form is canonical(): the vertex set of the exponent hull.
-Everything here is exact: rational points are evaluated in integers over
-one common denominator, and hull membership is decided by rational linear
+exponents outside, and one hull LP per exponent settles the rest.
+separating_point certifies inequality with that LP's Farkas certificate
+for the first unshared exponent outside the other hull, an integer point
+(exactlp.hull_separator).  Two polynomials define the same function on a
+union of rays exactly when they agree at one point per ray; the pair is
+evaluated there in one pass, each monomial of f and g once.  The normal
+form is canonical(): the vertex set of the exponent hull.  Everything here
+is exact: rational points are evaluated in integers over one common
+denominator, and hull membership is decided by rational linear
 feasibility, never by sampling.
 """
 
@@ -26,7 +27,7 @@ from math import lcm
 from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
-from .exactlp import in_convex_hull, strict_separator
+from .exactlp import hull_separator
 from .maxplus import TropVector, exact_int, exact_rational
 
 Monomial = tuple[int, ...]
@@ -198,7 +199,7 @@ def _is_vertex(u: Monomial, mono: Sequence[Monomial]) -> bool:
     sorted list mono, for canonical(): the LP-free refutations first (the
     first and last of mono pass the lexicographic one), then one hull LP."""
     others = [v for v in mono if v != u]
-    return not others or _refuted(u, others) or not in_convex_hull(u, others)
+    return not others or _refuted(u, others) or hull_separator(u, others) is not None
 
 
 # a factor and the whitespace around it, every part optional: 0 (group 1),
@@ -243,16 +244,10 @@ def parse_poly(text: str, dim: int) -> TropPoly:
         pos, expo, first = pos + 1, [0] * dim, True
 
 
-def fn_eq_on_space(f: TropPoly, g: TropPoly) -> bool:
-    """Equality of the induced functions on all of R^n (exact).
-
-    Decided by membership: every exponent of one polynomial that the other
-    lacks must lie in the other's exponent hull.  The LP-free refutations
-    (_refuted) run on all of them before any hull LP, so an exponent that
-    one of them settles answers False with no LP; otherwise the hull LPs
-    run in sorted order, f's exponents before g's, up to the first exponent
-    outside.  No certificate is built; separating_point gives one.
-    """
+def _unshared(f: TropPoly, g: TropPoly) -> list[tuple[Monomial, list[Monomial]]]:
+    """The hull questions of equality on R^n, for nonzero f and g of one
+    dimension: each exponent of f that g lacks, then of g that f lacks,
+    sorted, paired with the other polynomial's sorted exponents."""
     f._check_dim(g)
     if f.is_zero or g.is_zero:
         raise ValueError("function equality is defined for nonzero polynomials")
@@ -260,29 +255,37 @@ def fn_eq_on_space(f: TropPoly, g: TropPoly) -> bool:
     for p, q in ((f, g), (g, f)):
         pts = q.sorted_monomials()
         tests += [(u, pts) for u in sorted(p.monomials - q.monomials)]
+    return tests
+
+
+def fn_eq_on_space(f: TropPoly, g: TropPoly) -> bool:
+    """Equality of the induced functions on all of R^n (exact).
+
+    Decided by membership: every exponent of one polynomial that the other
+    lacks must lie in the other's exponent hull (_unshared).  The LP-free
+    refutations (_refuted) run on all of them before any hull LP, so an
+    exponent that one of them settles answers False with no LP; otherwise
+    the hull LPs run in order up to the first exponent outside.
+    separating_point returns that LP's certificate.
+    """
+    tests = _unshared(f, g)
     if any(_refuted(u, pts) for u, pts in tests):
         return False
-    return all(in_convex_hull(u, pts) for u, pts in tests)
+    return all(hull_separator(u, pts) is None for u, pts in tests)
 
 
-def separating_point(f: TropPoly, g: TropPoly) -> Optional[tuple[Fraction, ...]]:
-    """A rational point where f and g differ, or None when they agree on R^n.
+def separating_point(f: TropPoly, g: TropPoly) -> Optional[tuple[int, ...]]:
+    """An integer point where f and g differ, or None when they agree on R^n.
 
-    The functions agree exactly when each exponent hull contains the other,
-    so only the exponents in the symmetric difference are tested, in sorted
-    order, f's before g's.  Any of them outside the other exponent hull
-    gives a certificate, so the first that a strict-separation LP splits
-    off from the other exponent set yields the point.
+    The hull LPs of _unshared run in order up to the first exponent u
+    outside the other exponent hull; that LP's separator w has
+    u . w > v . w for every exponent v of the other polynomial, so the
+    polynomial holding u is the larger at w.
     """
-    f._check_dim(g)
-    if f.is_zero or g.is_zero:
-        raise ValueError("function equality is defined for nonzero polynomials")
-    for p, q in ((f, g), (g, f)):
-        others = q.sorted_monomials()
-        for u in sorted(p.monomials - q.monomials):
-            w = strict_separator(u, others)
-            if w is not None:
-                return tuple(w)
+    for u, pts in _unshared(f, g):
+        w = hull_separator(u, pts)
+        if w is not None:
+            return w
     return None
 
 

@@ -161,6 +161,14 @@ def verify_witness(w: WitnessPair, z_dirs: Sequence[Sequence[int]]) -> bool:
     return not any(map(differs, z_dirs)) and differs(w.point)
 
 
+def _verified_pair(z_dirs: Sequence[Sequence[int]], p: Sequence[Rational]) -> WitnessPair:
+    """separating_pair(z_dirs, p), or AssertionError if verify_witness fails."""
+    pair = separating_pair(z_dirs, p)
+    if not verify_witness(pair, z_dirs):
+        raise AssertionError("constructed witness failed verification")
+    return pair
+
+
 def in_congruence_variety(q: Sequence[Rational],
                           z_dirs: Sequence[Sequence[int]]
                           ) -> tuple[bool, Optional[WitnessPair]]:
@@ -171,7 +179,7 @@ def in_congruence_variety(q: Sequence[Rational],
     pair at q is attached as the certificate whenever the answer is no.
     """
     try:
-        return False, separating_pair(z_dirs, q)
+        return False, _verified_pair(z_dirs, q)
     except PointInSupportError:
         return True, None
 

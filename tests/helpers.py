@@ -699,14 +699,42 @@ def reference_expand(enum, bound):
     return out | reference_expand_cones(enum, bound)
 
 
+def reference_in_convex_hull(point, vertices) -> bool:
+    """Whether point is a convex combination of the vertices: the hull LP,
+    lambda >= 0 with sum_v lambda_v (v, 1) = (point, 1), solved by the
+    Fraction tableau.  The membership test that exactlp.hull_separator
+    replaced; kept as the hull oracle."""
+    pts = list(vertices)
+    if not pts:
+        return False
+    A = [[p[i] for p in pts] for i in range(len(point))]
+    A.append([1] * len(pts))
+    return reference_solve_eq_nonneg(A, [*point, 1]) is not None
+
+
+def reference_strict_separator(point, others):
+    """A rational w with point . w >= 1 + v . w for every v in others, or
+    None when point lies in their hull: the strict-separation LP
+    (point - v) . (w+ - w-) - s_v = 1, all variables >= 0, solved by the
+    Fraction tableau.  The second LP that hull_separator's Farkas
+    certificate replaced; kept as the separator oracle."""
+    dim, k = len(point), len(others)
+    A = []
+    for idx, v in enumerate(others):
+        diff = [Fraction(a) - Fraction(c) for a, c in zip(point, v)]
+        A.append(diff + [-e for e in diff] + [-int(j == idx) for j in range(k)])
+    x = reference_solve_eq_nonneg(A, [1] * k)
+    if x is None:
+        return None
+    return [x[i] - x[dim + i] for i in range(dim)]
+
+
 def reference_separating_point(f: TropPoly, g: TropPoly):
     """separating_point by comparing the two canonical forms: None when the
     vertex sets coincide, else the first canonical exponent of f, then of g,
     that a strict-separation LP splits off from the other polynomial's
     exponents.  The library tests only the exponents the two do not share;
     this is the canonical-form comparison it is checked against."""
-    from tropfan.exactlp import strict_separator
-
     f._check_dim(g)
     cf = f.canonical()
     cg = g.canonical()
@@ -717,7 +745,7 @@ def reference_separating_point(f: TropPoly, g: TropPoly):
         for u in u_side.sorted_monomials():
             if u in other.monomials:
                 continue
-            w = strict_separator(u, verts)
+            w = reference_strict_separator(u, verts)
             if w is not None:
                 return tuple(w)
     raise AssertionError("distinct hulls must admit a separating vertex")
@@ -734,9 +762,7 @@ def reference_eval(p: TropPoly, point):
 
 def reference_is_vertex(u, mono):
     """_is_vertex by one hull LP for every exponent, extremes included."""
-    from tropfan.exactlp import in_convex_hull
-
-    return not in_convex_hull(u, [v for v in mono if v != u])
+    return not reference_in_convex_hull(u, [v for v in mono if v != u])
 
 
 def _reference_integerize(p):
@@ -849,9 +875,7 @@ def reference_differing_direction(f: TropPoly, g: TropPoly, directions):
 def reference_fn_eq_on_space(f: TropPoly, g: TropPoly) -> bool:
     """fn_eq_on_space by one hull LP for every exponent of each polynomial
     against all of the other's, shared exponents and extremes included."""
-    from tropfan.exactlp import in_convex_hull
-
-    return all(in_convex_hull(u, q.sorted_monomials())
+    return all(reference_in_convex_hull(u, q.sorted_monomials())
                for p, q in ((f, g), (g, f)) for u in p.sorted_monomials())
 
 

@@ -38,7 +38,7 @@ PINNED_WITNESSES = [
 # unequal pair in each mode
 PINNED_POLYEQ = [
     (["--on-space", "2", "x1^2 + x2^2 + 0", "x1^2 + x2^2 + x1*x2 + 0"], 0, "equal\n"),
-    (["--on-space", "2", "x1 + x2", "x1"], 1, 'unequal\n["0", "1"]\n'),
+    (["--on-space", "2", "x1 + x2", "x1"], 1, 'unequal\n["-1", "1"]\n'),
     (["--on-space", "1", "x1^2 + x1 + 0", "0"], 1, 'unequal\n["1"]\n'),
     (["--on-fan", "fan3_r2.json", "x1 + x2", "x1 + x2 + 0"], 0, "equal\n"),
     (["--on-fan", "fan5_r3.json", "x1 + x3", "x1"], 1, 'unequal\n["-1", "0", "1"]\n'),
@@ -497,6 +497,20 @@ def test_input_errors_exit_2_without_traceback(fan_files, tmp_path, args):
     code, _, err = run(*(a.format(x=x, y=y, empty=empty, binary=binary) for a in args))
     assert code == 2
     assert err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ("polyeq", "--on-space", "100000000000000", "x1", "x1"),
+    ("homs", "fan3_r2.json", "full:100000000000000"),
+])
+def test_input_too_large_to_allocate_exits_2(args):
+    # the first allocation these inputs ask for is about 800 TB (a list of
+    # 10^14 exponents, a tuple of 10^14 target labels), which is refused at
+    # once; the MemoryError is an input error, not a semantic negative
+    args = [str(DEMO_FANS / a) if a.endswith(".json") else a for a in args]
+    code, out, err = run(*args)
+    assert (code, out) == (2, "")
+    assert err == "error: the input is too large to hold in memory\n"
 
 
 def test_library_value_error_exits_2_in_main(fan_files, monkeypatch, capsys):

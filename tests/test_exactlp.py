@@ -1,5 +1,6 @@
 import fractions
 import itertools
+import math
 import random
 import sys
 from collections import Counter
@@ -8,26 +9,38 @@ from fractions import Fraction
 import pytest
 
 from tropfan import exactlp
-from tropfan.exactlp import in_convex_hull, solve_eq_nonneg, strict_separator
-from helpers import reference_solve_eq_nonneg
+from tropfan.exactlp import hull_separator, solve_eq_nonneg
+from helpers import reference_in_convex_hull, reference_solve_eq_nonneg
+
+
+def dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def assert_farkas(A, b, y):
+    """y is an integer certificate that A x = b has no solution x >= 0:
+    y . b > 0 and y . A <= 0 in every column."""
+    assert all(type(e) is int for e in y) and len(y) == len(A)
+    assert dot(y, b) > 0, (A, b, y)
+    assert all(dot(y, col) <= 0 for col in zip(*A)), (A, b, y)
 
 
 class TestFeasibility:
     def test_simple_system(self):
         # x1 + x2 = 2, x1 - x2 = 0 -> x = (1, 1)
-        x = solve_eq_nonneg([[1, 1], [1, -1]], [2, 0])
-        assert x == [1, 1]
+        assert solve_eq_nonneg([[1, 1], [1, -1]], [2, 0]) == ([1, 1], None)
 
     def test_negativity_blocks(self):
-        # x1 + x2 = -1 has no nonnegative solution
-        assert solve_eq_nonneg([[1, 1]], [-1]) is None
+        # x1 + x2 = -1 has no nonnegative solution; the row is negated for
+        # phase I, and the certificate undoes that sign
+        assert solve_eq_nonneg([[1, 1]], [-1]) == (None, [-1])
 
     def test_zero_row_inconsistent(self):
-        assert solve_eq_nonneg([[0, 0]], [1]) is None
+        assert solve_eq_nonneg([[0, 0]], [1]) == (None, [1])
 
     def test_redundant_rows(self):
-        x = solve_eq_nonneg([[1, 2], [2, 4], [1, 2]], [3, 6, 3])
-        assert x is not None
+        x, y = solve_eq_nonneg([[1, 2], [2, 4], [1, 2]], [3, 6, 3])
+        assert x is not None and y is None
         assert x[0] + 2 * x[1] == 3 and all(v >= 0 for v in x)
 
     def test_fully_degenerate_rhs(self):
@@ -37,7 +50,7 @@ class TestFeasibility:
             m = rng.randint(1, 4)
             n = rng.randint(1, 5)
             A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
-            x = solve_eq_nonneg(A, [0] * m)
+            x, _ = solve_eq_nonneg(A, [0] * m)
             assert x is not None
             for row in A:
                 assert sum(c * v for c, v in zip(row, x)) == 0
@@ -49,14 +62,17 @@ class TestFeasibility:
             n = rng.randint(1, 5)
             A = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
             b = [rng.randint(-6, 6) for _ in range(m)]
-            x = solve_eq_nonneg(A, b)
+            x, y = solve_eq_nonneg(A, b)
+            assert (x is None) != (y is None)
             if x is not None:
                 assert all(v >= 0 for v in x)
                 for row, rhs in zip(A, b):
                     assert sum(c * v for c, v in zip(row, x)) == rhs
+            else:
+                assert_farkas(A, b, y)
 
     def test_rational_data(self):
-        x = solve_eq_nonneg([[Fraction(1, 2), Fraction(1, 3)]], [Fraction(5, 6)])
+        x, _ = solve_eq_nonneg([[Fraction(1, 2), Fraction(1, 3)]], [Fraction(5, 6)])
         assert x is not None
         assert Fraction(1, 2) * x[0] + Fraction(1, 3) * x[1] == Fraction(5, 6)
 
@@ -102,16 +118,19 @@ class TestConvexHull:
             k = rng.randint(1, 6)
             pts = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(k)]
             u = (rng.randint(-5, 5), rng.randint(-5, 5))
-            assert in_convex_hull(u, pts) == hull_oracle_2d(u, pts)
+            assert (hull_separator(u, pts) is None) == hull_oracle_2d(u, pts)
 
     def test_empty_set(self):
-        assert not in_convex_hull((0, 0), [])
+        # no point is in the hull of nothing, and no functional separates
+        # from nothing in particular: the question is refused
+        with pytest.raises(ValueError, match="at least one vertex"):
+            hull_separator((0, 0), [])
 
     def test_rational_membership(self):
         # the barycenter needs fractional coefficients
         pts = [(0, 0), (1, 0), (0, 1)]
-        assert in_convex_hull((Fraction(1, 3), Fraction(1, 3)), pts)
-        assert not in_convex_hull((Fraction(2, 3), Fraction(2, 3)), pts)
+        assert hull_separator((Fraction(1, 3), Fraction(1, 3)), pts) is None
+        assert hull_separator((Fraction(2, 3), Fraction(2, 3)), pts) == (1, 1)
 
 
 class TestSeparator:
@@ -122,17 +141,15 @@ class TestSeparator:
             k = rng.randint(1, 5)
             pts = [tuple(rng.randint(-4, 4) for _ in range(dim)) for _ in range(k)]
             u = tuple(rng.randint(-5, 5) for _ in range(dim))
-            w = strict_separator(u, pts)
-            inside = in_convex_hull(u, pts)
-            assert (w is None) == inside
+            w = hull_separator(u, pts)
+            assert (w is None) == reference_in_convex_hull(u, pts)
             if w is not None:
-                uw = sum(a * b for a, b in zip(u, w))
-                for v in pts:
-                    assert uw >= 1 + sum(a * b for a, b in zip(v, w))
+                assert math.gcd(*w) == 1
+                assert all(dot(u, w) > dot(v, w) for v in pts)
 
     def test_requires_points(self):
         with pytest.raises(ValueError):
-            strict_separator((1, 0), [])
+            hull_separator((1, 0), [])
 
 
 class TestInputBoundary:
@@ -159,23 +176,25 @@ class TestInputBoundary:
             solve_eq_nonneg([[1, 2], [1]], [1, 1])
 
     def test_integral_fractions_accepted(self):
-        assert solve_eq_nonneg([[Fraction(2), 1]], [Fraction(4, 2)]) == [1, 0]
+        assert solve_eq_nonneg([[Fraction(2), 1]], [Fraction(4, 2)]) == ([1, 0], None)
 
     def test_hull_points_must_share_dimension(self):
         with pytest.raises(ValueError, match="coordinates, expected 2"):
-            in_convex_hull((0, 0), [(0, 0, 5), (1, 0, 5)])
+            hull_separator((0, 0), [(0, 0, 5), (1, 0, 5)])
         with pytest.raises(ValueError, match="expected an integer or a Fraction"):
-            in_convex_hull((0.5, 0), [(0, 0), (1, 0)])
+            hull_separator((0.5, 0), [(0, 0), (1, 0)])
         with pytest.raises(ValueError, match="expected an integer or a Fraction"):
-            in_convex_hull((0, 0), [(0, True)])
+            hull_separator((0, 0), [(0, True)])
 
     def test_separator_points_must_share_dimension(self):
+        # the refusals of the strict-separation LP that hull_separator
+        # replaced, for points outside the hull
         with pytest.raises(ValueError, match="coordinates, expected 2"):
-            strict_separator((2, 0), [(0,)])
+            hull_separator((2, 0), [(0,)])
         with pytest.raises(ValueError, match="expected an integer or a Fraction"):
-            strict_separator((2, 0), [(0, True)])
+            hull_separator((2, 0), [(0, True)])
         with pytest.raises(ValueError, match="expected an integer or a Fraction"):
-            strict_separator((True, 0), [(0, 0)])
+            hull_separator((True, 0), [(0, 0)])
 
 
 def _random_system(rng, k):
@@ -210,41 +229,57 @@ def _random_system(rng, k):
 
 class TestDifferential:
     """The integer tableau against the Fraction-tableau simplex it replaced:
-    the same pivots give the same x, not only the same feasibility."""
+    the same pivots give the same x, not only the same feasibility, and
+    every infeasible system comes with a Farkas certificate."""
 
     def test_same_solution_as_fraction_tableau(self):
         rng = random.Random(20231)
         outcomes = set()
         for k in range(20000):
             A, b = _random_system(rng, k)
-            x = solve_eq_nonneg(A, b)
+            x, y = solve_eq_nonneg(A, b)
             assert x == reference_solve_eq_nonneg(A, b), (A, b)
             if x is not None:
+                assert y is None
                 assert all(type(v) is Fraction for v in x)
+            else:
+                assert_farkas(A, b, y)
             outcomes.add(x is None)
         assert outcomes == {True, False}
 
-    def test_hull_and_separator_same_as_fraction_tableau(self, monkeypatch):
+    def test_hull_and_separator_same_as_fraction_tableau(self):
+        # 20,000 seeded (point, vertices) instances in dimensions 1-4 with
+        # 1-7 vertices; every fifth has rational coordinates, and every
+        # fourth point is a vertex or the midpoint of two.  The verdict is
+        # the Fraction tableau's hull LP, and every separator must split
+        # the point off strictly
         rng = random.Random(4099)
-        cases = []
-        for k in range(2000):
+        seen = Counter()
+        for k in range(20000):
             dim = rng.randint(1, 4)
             coord = (lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 3))) \
-                if k % 2 else (lambda: rng.randint(-4, 4))
-            pts = [tuple(coord() for _ in range(dim)) for _ in range(rng.randint(1, 6))]
-            u = rng.choice(pts) if k % 4 == 0 else tuple(coord() for _ in range(dim))
-            cases.append((u, pts))
-        got = [(in_convex_hull(u, pts), strict_separator(u, pts)) for u, pts in cases]
-        monkeypatch.setattr(exactlp, "solve_eq_nonneg", reference_solve_eq_nonneg)
-        want = [(in_convex_hull(u, pts), strict_separator(u, pts)) for u, pts in cases]
-        assert got == want
-        assert {h for h, _ in got} == {True, False}
+                if k % 5 == 0 else (lambda: rng.randint(-4, 4))
+            pts = [tuple(coord() for _ in range(dim)) for _ in range(rng.randint(1, 7))]
+            if k % 4 == 0:
+                a, b = rng.choice(pts), rng.choice(pts)
+                u = tuple(Fraction(c + d) / 2 for c, d in zip(a, b)) if k % 8 else a
+            else:
+                u = tuple(coord() for _ in range(dim))
+            w = hull_separator(u, pts)
+            inside = reference_in_convex_hull(u, pts)
+            assert (w is None) == inside, (u, pts, w)
+            if w is not None:
+                assert all(type(c) is int for c in w) and math.gcd(*w) == 1
+                assert all(dot(u, w) > dot(v, w) for v in pts), (u, pts, w)
+            seen["inside" if inside else "outside"] += 1
+            seen["negative coordinate"] += any(c < 0 for c in u)
+        assert min(seen.values()) >= 4000, seen
 
 
 def _twin_system(rng, k):
     """One seeded system with dependent columns: fresh columns, copies and
     negations of earlier ones, zero columns, and multiples v e_i (the -e_i
-    slacks among them, like the separator LP's); int or Fraction data
+    slacks among them, like a strict-separation LP's); int or Fraction data
     by k; feasible by construction, b = 0 (fully degenerate), or a random
     right-hand side (mostly infeasible).  Returns A, b and the column kinds."""
     m = rng.randint(1, 5)
@@ -285,16 +320,18 @@ def _twin_system(rng, k):
 
 
 def test_twin_columns_same_solution_as_fraction_tableau():
-    """Duplicated, negated and zero columns and multiples of e_i, as the
-    separator LP has them, leave the pivots and x those of the Fraction
+    """Duplicated, negated and zero columns and multiples of e_i, as a
+    strict-separation LP has them, leave the pivots and x those of the Fraction
     tableau, on rows whose sign the normalisation keeps and on rows it
     flips."""
     rng = random.Random(20261020)
     seen = Counter()
     for k in range(5000):
         A, b, kinds = _twin_system(rng, k)
-        x = solve_eq_nonneg(A, b)
+        x, y = solve_eq_nonneg(A, b)
         assert x == reference_solve_eq_nonneg(A, b), (A, b)
+        if x is None:
+            assert_farkas(A, b, y)
         seen.update(kinds)
         seen["feasible" if x is not None else "infeasible"] += 1
         seen["fraction" if k % 2 else "int"] += 1
@@ -328,11 +365,13 @@ def test_integer_data_stays_off_fractions(monkeypatch):
     """Integer data is pivoted without Fractions: only reading x builds them
     (at most one per variable, and the shared zero), where the Fraction
     tableau made 1,582 calls into fractions.py on the first system.  The hull
-    and separator LPs hand integer points to the simplex as integer rows (at
-    the parent they made 50 and 164 calls on the triangle)."""
+    LP hands integer points to the simplex as integer rows (at an earlier
+    parent the hull and strict-separation LPs made 50 and 164 calls on the
+    triangle), and a point outside reads no x at all: its separator is the
+    integer certificate."""
     A = [[1, 2, -1, 0, 3], [0, 1, 1, -2, 1], [2, -1, 0, 1, 1]]
     b = [4, 1, 3]
-    x, calls = _fraction_calls(lambda: solve_eq_nonneg(A, b))
+    (x, _), calls = _fraction_calls(lambda: solve_eq_nonneg(A, b))
     assert x == reference_solve_eq_nonneg(A, b)
     assert calls <= len(A[0])
 
@@ -344,13 +383,9 @@ def test_integer_data_stays_off_fractions(monkeypatch):
 
     monkeypatch.setattr(exactlp, "solve_eq_nonneg", recording)
     tri = [(0, 0), (4, 0), (0, 4)]
-    for u in ((1, 1), (5, 1), (4, 0)):
-        inside, calls = _fraction_calls(lambda: in_convex_hull(u, tri))
-        assert inside == (u != (5, 1))
-        assert calls <= len(tri) + 1
-    for u in ((3, 3), (1, 1)):
-        w, calls = _fraction_calls(lambda: strict_separator(u, tri))
-        assert (w is None) == (u == (1, 1))
-        # reading x, then one Fraction subtraction per coordinate of w
-        assert calls <= 2 * len(tri) + 1 + 10 * len(u)
+    for u in ((1, 1), (5, 1), (4, 0), (3, 3)):
+        w, calls = _fraction_calls(lambda: hull_separator(u, tri))
+        inside = u in ((1, 1), (4, 0))
+        assert (w is None) == inside
+        assert calls <= (len(tri) + 1 if inside else 0)
     assert rows and all(type(e) is int for row in rows for e in row)

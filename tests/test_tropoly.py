@@ -10,14 +10,14 @@ import tropfan.tropoly
 from tropfan import (PolySyntaxError, TropPoly, TropVector, fn_eq_on_rays,
                      fn_eq_on_space, parse_poly, separating_point,
                      substitute_units)
-from tropfan.exactlp import in_convex_hull
 from tropfan.tropoly import _is_vertex, differing_direction
 
 from helpers import (outcome, random_int_vector, random_poly,
                      random_primitive_direction, random_rational_point,
                      reference_differing_direction, reference_eval,
-                     reference_fn_eq_on_space, reference_is_vertex,
-                     reference_parse_poly, reference_separating_point)
+                     reference_fn_eq_on_space, reference_in_convex_hull,
+                     reference_is_vertex, reference_parse_poly,
+                     reference_separating_point)
 
 # factor-like and operator-like pieces, joined alternately by
 # random_poly_text: among valid tokens they hold Unicode spaces (U+3000,
@@ -222,8 +222,8 @@ class TestCanonical:
 
     def test_convex_combination_dropped(self):
         # oracle first: (1,1) is the average of (2,0) and (0,2)
-        assert in_convex_hull((1, 1), [(0, 0), (2, 0), (0, 2)])
-        assert not in_convex_hull((2, 0), [(0, 0), (0, 2), (1, 1)])
+        assert reference_in_convex_hull((1, 1), [(0, 0), (2, 0), (0, 2)])
+        assert not reference_in_convex_hull((2, 0), [(0, 0), (0, 2), (1, 1)])
         p = TropPoly(2, [(0, 0), (2, 0), (0, 2), (1, 1)])
         assert p.canonical().monomials == {(0, 0), (2, 0), (0, 2)}
 
@@ -266,15 +266,21 @@ class TestCanonical:
         assert TropPoly.from_json(p.to_json(), 2) == p
 
 
+def _dot(u, x):
+    return sum(a * b for a, b in zip(u, x))
+
+
 @pytest.fixture
 def lp_calls(monkeypatch):
-    """Counts of the hull and separator LPs that tropoly starts."""
-    calls = {"in_convex_hull": 0, "strict_separator": 0}
-    for name in calls:
-        def wrapper(*args, _name=name, _real=getattr(tropfan.tropoly, name)):
-            calls[_name] += 1
-            return _real(*args)
-        monkeypatch.setattr(tropfan.tropoly, name, wrapper)
+    """Counts of the hull LPs that tropoly starts: hull_separator is its
+    one entry point into exactlp."""
+    calls = {"hull_separator": 0}
+    real = tropfan.tropoly.hull_separator
+
+    def wrapper(*args):
+        calls["hull_separator"] += 1
+        return real(*args)
+    monkeypatch.setattr(tropfan.tropoly, "hull_separator", wrapper)
     return calls
 
 
@@ -340,25 +346,30 @@ class TestEqOnSpace:
                 g = random_poly(rng, dim, max_monos=7, bound=rng.choice((1, 3)))
             if rng.random() < 0.5:
                 f, g = g, f
-            # any point where f and g differ is a valid certificate; the
-            # choice among them is not pinned
+            # any point where f and g differ is a valid certificate; the one
+            # returned separates the first unshared exponent, f's before
+            # g's, that lies outside the other polynomial's hull
             expected = reference_separating_point(f, g)
             point = separating_point(f, g)
             assert (point is None) == (expected is None)
             if point is not None:
                 assert f.eval(point) != g.eval(point)
+                u, other = next((u, q.monomials) for p, q in ((f, g), (g, f))
+                                for u in p.sorted_monomials() if u not in q.monomials
+                                and not reference_in_convex_hull(u, q.sorted_monomials()))
+                assert all(_dot(u, point) > _dot(v, point) for v in other)
             assert fn_eq_on_space(f, g) == (expected is None)
             equal += expected is None
         assert equal >= 400
 
     def test_shared_exponents_need_no_lp(self, monkeypatch, lp_calls):
         # f and g share every vertex; only g's (1, 1) is tested, and it lies
-        # in f's hull: one hull LP, and no separator is sought
+        # in f's hull: one hull LP
         monkeypatch.setattr(TropPoly, "canonical", None)  # no equality path uses it
         f = TropPoly(2, [(0, 0), (2, 0), (0, 2)])
         g = f + TropPoly(2, [(1, 1)])
         assert fn_eq_on_space(f, g)
-        assert lp_calls == {"in_convex_hull": 1, "strict_separator": 0}
+        assert lp_calls == {"hull_separator": 1}
 
     def test_membership_matches_reference(self, monkeypatch):
         # 2,500 seeded pairs: f plus points of its hull (equal), f plus one
@@ -369,7 +380,7 @@ class TestEqOnSpace:
         # alone, and an LP answers False only as the last step.  Every kind
         # of decision must occur often
         log = []
-        real_refuted, real_hull = tropfan.tropoly._refuted, tropfan.tropoly.in_convex_hull
+        real_refuted, real_hull = tropfan.tropoly._refuted, tropfan.tropoly.hull_separator
 
         def refuted(u, pts):
             out = real_refuted(u, pts)
@@ -378,9 +389,9 @@ class TestEqOnSpace:
             return out
 
         def hull(u, pts):
-            inside = real_hull(u, pts)
-            log.append("inside LP" if inside else "outside LP")
-            return inside
+            w = real_hull(u, pts)
+            log.append("outside LP" if w else "inside LP")
+            return w
 
         rng = random.Random(2025)
         kinds = Counter()
@@ -409,7 +420,7 @@ class TestEqOnSpace:
             log.clear()
             with monkeypatch.context() as m:
                 m.setattr(tropfan.tropoly, "_refuted", refuted)
-                m.setattr(tropfan.tropoly, "in_convex_hull", hull)
+                m.setattr(tropfan.tropoly, "hull_separator", hull)
                 assert fn_eq_on_space(f, g) == expected
             if expected:
                 assert set(log) <= {"inside LP"}
@@ -430,7 +441,7 @@ class TestEqOnSpace:
         for extra in ([(3, 3)], [(-1, 1)], [(1, 5)], [(1, -1)], [(1, 1), (3, 3)]):
             g = f + TropPoly(2, extra)
             assert not fn_eq_on_space(f, g) and not fn_eq_on_space(g, f)
-        assert lp_calls == {"in_convex_hull": 0, "strict_separator": 0}
+        assert lp_calls == {"hull_separator": 0}
 
     def test_hull_lp_count(self, lp_calls):
         # pinned work over a fixed list of pairs shaped like the certify
@@ -449,19 +460,19 @@ class TestEqOnSpace:
                 g = f + [tuple((a + b) // 2 for a, b in zip(f[0], f[-1]))]
             unequal += not fn_eq_on_space(TropPoly(dim, f), TropPoly(dim, g))
         assert unequal == 100
-        assert lp_calls == {"in_convex_hull": 116, "strict_separator": 0}
+        assert lp_calls == {"hull_separator": 116}
 
     def test_vertex_lp_count(self, lp_calls):
-        # pinned work over a fixed list of pairs: one separator LP per
-        # unshared exponent up to the first outside the other hull, and no
-        # hull LP
+        # pinned work over a fixed list of pairs: one hull LP per unshared
+        # exponent up to the first outside the other hull, whose certificate
+        # is the point
         rng = random.Random(61)
         for _ in range(200):
             dim = rng.randint(2, 4)
             f = random_poly(rng, dim, max_monos=7, bound=2)
             g = f + random_poly(rng, dim, max_monos=3, bound=2)
             separating_point(f, g)
-        assert lp_calls == {"in_convex_hull": 0, "strict_separator": 201}
+        assert lp_calls == {"hull_separator": 201}
 
 
 class TestEqOnRays:

@@ -7,15 +7,17 @@ from math import gcd
 
 import pytest
 
+import tropfan.cli
 import tropfan.lattice
 import tropfan.witness
-from tropfan import (PointInSupportError, TropPoly, WitnessPair, fn_eq_on_rays,
-                     fn_eq_on_space, in_congruence_variety, integerize,
-                     orth_basis, separating_pair, verify_witness)
+from tropfan import (NotGeometricError, PointInSupportError, TropPoly, TropVector,
+                     WitnessPair, fn_eq_on_rays, fn_eq_on_space, hom_from_images,
+                     in_congruence_variety, integerize, orth_basis, separating_pair,
+                     verify_witness)
 from tropfan.lattice import hnf
 from tropfan.witness import witness_to_json
 
-from helpers import (FAN_X, outcome, random_int_vector, random_poly,
+from helpers import (FAN_X, FAN_Y, genmatrix_x, outcome, random_int_vector, random_poly,
                      random_primitive_direction, random_rational_point,
                      reference_kernel_basis, reference_separating_pair,
                      reference_verify_witness)
@@ -374,6 +376,35 @@ class TestCongruenceVariety:
             assert ok == expected
             if not ok:
                 assert verify_witness(cert, dirs)
+
+
+def test_every_handed_out_pair_is_verified(monkeypatch, tmp_path):
+    # a separating_pair that returns f twice splits nothing; each site that
+    # hands a pair out (in_congruence_variety, the witness command, and
+    # hom_from_images's NotGeometricError) must catch it
+    real = separating_pair
+
+    def unsplit(z_dirs, p):
+        pair = real(z_dirs, p)
+        return replace(pair, g=pair.f)
+
+    monkeypatch.setattr(tropfan.witness, "separating_pair", unsplit)
+    dirs = [(1, 0, 1)]
+    with pytest.raises(AssertionError, match="failed verification"):
+        in_congruence_variety((-1, 0, -1), dirs)
+    fan = tmp_path / "fan.json"
+    fan.write_text(json.dumps(FAN_Y.to_json_dict()))
+    with pytest.raises(AssertionError, match="failed verification"):
+        tropfan.cli.main(["witness", str(fan), "1/2,3"])
+    images = tuple(TropVector(row) for row in ((1, 0, 0), (0, 0, 0), (0, 0, 0)))
+    with pytest.raises(AssertionError, match="failed verification"):
+        hom_from_images(images, genmatrix_x())
+    # the real construction passes at the same three sites
+    monkeypatch.setattr(tropfan.witness, "separating_pair", real)
+    assert not in_congruence_variety((-1, 0, -1), dirs)[0]
+    assert tropfan.cli.main(["witness", str(fan), "1/2,3"]) == 0
+    with pytest.raises(NotGeometricError):
+        hom_from_images(images, genmatrix_x())
 
 
 def test_witness_json_shape():

@@ -139,8 +139,13 @@ def cmd_witness(args) -> int:
 def cmd_polyeq(args) -> int:
     fan = None if args.on_fan is None else _load_fan(args.on_fan)
     dim = args.on_space if fan is None else fan.ambient_dim
-    f = parse_poly(args.f, dim)
-    g = parse_poly(args.g, dim)
+    polys = []
+    for name, text in (("f", args.f), ("g", args.g)):
+        try:
+            polys.append(parse_poly(text, dim))
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from exc
+    f, g = polys
     point = (separating_point(f, g) if fan is None
              else differing_direction(f, g, fan.directions))
     if point is None:

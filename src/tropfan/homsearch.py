@@ -19,16 +19,15 @@ primitive base matrix, laid from its circuit's scaled class directions,
 with the modulus that the target lattice's forms (Lattice.forms) give on
 the placed columns.  Patterns admitting two or more placements span cones
 of dimension two or more, reported as cone records that flag the result
-inexhaustive.  No step iterates all (classes + 1)^m patterns or all class
-multisets: records and expansions walk the class sets that hold a circuit
+inexhaustive.  Records and expansions walk the class sets that hold a circuit
 (for expansions, that the circuits inside cover), then the set's count
 vectors, and lay each multiset from its count shape's table of layouts,
-built once per process, not per call, and shared by every enumeration and
-expansion.  Records share each circuit's sorted placements, and the JSON
-lines dump each distinct placement matrix once.  An expansion solves one
-bounded kernel per class set, over the class totals, spreads the totals
-over the slots, keeps the points whose rows meet a target lattice's forms,
-and lays each with _place, as the families are laid.
+built once per process and shared by every enumeration and expansion.
+Records share each circuit's sorted placements, and the JSON lines dump
+each distinct placement matrix once.  An expansion solves one bounded
+kernel per class set, over the class totals, spreads the totals over the
+slots, keeps the points whose rows meet a target lattice's forms, and lays
+each with _place, as the families are laid.
 
 An enumeration holds thousands of per-member results (HomFamily, ConeRecord,
 MorphismFamily), and the cyclic collector walks every one of them on each
@@ -242,13 +241,14 @@ def _layouts(shape: tuple[int, ...]
                  for w, _ in ways)
 
 
-def _compositions(total: int, count: int, limit: int) -> list[tuple[int, ...]]:
+@cache
+def _compositions(total: int, count: int, limit: int) -> tuple[tuple[int, ...], ...]:
     """The ordered ways to write total as count parts, each in [1, limit]."""
     if count == 1:
-        return [(total,)] if 1 <= total <= limit else []
-    return [(k,) + rest for k in range(max(1, total - (count - 1) * limit),
-                                       min(limit, total - count + 1) + 1)
-            for rest in _compositions(total - k, count - 1, limit)]
+        return ((total,),) if 1 <= total <= limit else ()
+    return tuple((k,) + rest for k in range(max(1, total - (count - 1) * limit),
+                                            min(limit, total - count + 1) + 1)
+                 for rest in _compositions(total - k, count - 1, limit))
 
 
 def _class_multisets(classes: Sequence[int], circuits: Sequence[Circuit], m: int,
@@ -333,7 +333,6 @@ class HomEnumeration:
         # column[a][t] is t * d_a, for every part t a slot of class a can take
         column = {a: [tuple(t * e for e in class_dirs[a]) for t in range(limit[a] + 1)]
                   for a in live}
-        spread = cache(_compositions)  # per call; _layouts is cached per process
         totals: dict[tuple[int, ...], list] = {}  # class set -> positive class totals
         out = {self.zero_matrix}
         for vals, shape, _ in _class_multisets(live, self.circuits, m, covered=True):
@@ -343,7 +342,7 @@ class HomEnumeration:
                 box = [(m - len(S) + 1) * limit[a] for a in S]
                 totals[S] = [T for T in bounded_points(N, box) if all(T)]
             points = [sum(parts, ()) for T in totals[S] for parts in
-                      itertools.product(*map(spread, T, counts, map(limit.get, S)))]
+                      itertools.product(*map(_compositions, T, counts, map(limit.get, S)))]
             if not points:
                 continue
             classes = [a for a, k in zip(S, counts) for _ in range(k)]

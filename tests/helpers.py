@@ -1,13 +1,38 @@
 """Shared fixtures-in-plain-code for the test suite: the two reference fans,
-their generator matrices, and small random-object generators."""
+their generator matrices, small random-object generators, and the
+environment and command prefix of every CLI subprocess."""
 
 import json
+import os
 import re
+import shutil
+import sys
 from fractions import Fraction
+from pathlib import Path
 from typing import Iterable
 
+import tropfan
 from tropfan import Fan1D, GenMatrix, Lattice, Ray, TropPoly
 from tropfan.homsearch import ConeRecord
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# A subprocess imports the tropfan this process imported: src/ goes first on
+# PYTHONPATH only when that tropfan is this checkout's (pytest's pythonpath
+# setting or the caller's PYTHONPATH put it there), and the CLI runs as
+# python -m tropfan.cli.  An installed package is left to be found as this
+# process found it, and the CLI is its console script, which must be on PATH.
+ENV = dict(os.environ)
+if SRC in Path(tropfan.__file__).resolve().parents:
+    ENV["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    CLI = [sys.executable, "-m", "tropfan.cli"]
+else:
+    script = shutil.which("tropfan")
+    if script is None:
+        raise RuntimeError(f"tropfan is imported from {tropfan.__file__}, outside src/, "
+                           "so the CLI tests run its console script, but no tropfan "
+                           "script is on PATH")
+    CLI = [script]
 
 # A balanced 5-ray fan in R^3 (the last ray carries weight 4) and a balanced
 # 3-ray fan in R^2; their evaluation matrices drive most worked examples.

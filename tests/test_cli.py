@@ -1,6 +1,6 @@
 import argparse
+import hashlib
 import json
-import os
 import re
 import subprocess
 import sys
@@ -16,11 +16,10 @@ import tropfan.tropoly
 from tropfan import GenMatrix, enumerate_homs
 from tropfan.cli import build_parser
 
-from helpers import MG_ROWS, box_hom_oracle, genmatrix_x, lattice_y
+from helpers import CLI, ENV, MG_ROWS, box_hom_oracle, genmatrix_x, lattice_y
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
-SRC = Path(__file__).resolve().parent.parent / "src"
 DEMO_FANS = Path(__file__).resolve().parent.parent / "demos" / "fans"
 
 # `tropfan witness` output on the demo fans (fan5_r3 is the 5-ray fan X)
@@ -64,18 +63,8 @@ Y_FAN = {
 }
 
 
-# A subprocess imports the tropfan this process imported: src/ goes first on
-# PYTHONPATH only when that tropfan is this checkout's (pytest's pythonpath
-# setting or the caller's PYTHONPATH put it there); an installed package is
-# left to be found as this process found it.
-ENV = dict(os.environ)
-if SRC in Path(tropfan.__file__).resolve().parents:
-    ENV["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-
-
 def run(*args):
-    proc = subprocess.run([sys.executable, "-m", "tropfan.cli", *args],
-                          capture_output=True, text=True, env=ENV)
+    proc = subprocess.run([*CLI, *args], capture_output=True, text=True, env=ENV)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -312,7 +301,7 @@ class TestWitness:
 
     @pytest.mark.parametrize("fan, point, line", PINNED_WITNESSES, ids=["fan3_r2", "fan5_r3"])
     def test_pinned_bytes(self, fan, point, line):
-        # the same lines are pinned in CI against the installed console script
+        # CI also runs this test against the installed console script
         assert run("witness", str(DEMO_FANS / fan), point) == (0, line + "\n", "")
 
     def test_rational_point(self, fan_files):
@@ -363,7 +352,7 @@ class TestPolyeq:
         "space-equal", "space-unequal", "space-unshared-non-vertex", "fan3_r2-equal",
         "fan5_r3-unequal"])
     def test_pinned_bytes(self, args, code, out):
-        # the same lines are pinned in CI against the installed console script
+        # CI also runs this test against the installed console script
         args = [str(DEMO_FANS / a) if a.endswith(".json") else a for a in args]
         assert run("polyeq", *args) == (code, out, "")
 
@@ -428,10 +417,26 @@ class TestPolyeq:
         code, _, err = run("polyeq", "--on-space", "2", "x1 +", "x1")
         assert code == 2 and err
 
+    @pytest.mark.parametrize("mode", [["--on-space", "2"], ["--on-fan", "fan3_r2.json"]])
+    def test_syntax_error_names_the_argument(self, mode):
+        mode = [str(DEMO_FANS / a) if a.endswith(".json") else a for a in mode]
+        for args, name in ((["x1 +", "x1"], "f"), (["x1", "x1 +"], "g")):
+            assert run("polyeq", *mode, *args) == (
+                2, "", f"error: {name}: expected a variable factor (at position 4)\n")
+
     def test_exactly_one_mode(self, fan_files):
         x, _ = fan_files
         code, _, err = run("polyeq", "--on-fan", x, "--on-space", "2", "x1", "x1")
         assert code == 2 and err
+
+
+def test_python_m_tropfan_runs_the_cli():
+    # the package's __main__ is the same CLI as the tropfan command
+    fan = str(DEMO_FANS / "fan3_r2.json")
+    proc = subprocess.run([sys.executable, "-m", "tropfan", "check", fan],
+                          capture_output=True, text=True, env=ENV)
+    assert (proc.returncode, proc.stdout) == run("check", fan)[:2]
+    assert proc.returncode == 0 and "balanced: true" in proc.stdout
 
 
 def test_readme_cli_flags_match_parser():
@@ -448,23 +453,30 @@ def test_readme_cli_flags_match_parser():
     assert documented == options
 
 
-@pytest.mark.parametrize("args", [
-    ("homs", "{x}", "full:5"),
-    ("homs", "{y}", "{x}", "--expand", "4"),
-    ("morphisms", "{y}", "{x}", "--expand", "8"),
-    ("polyeq", "--on-space", "3", "x1*x2^-1 + x3 + 0", "x1 + x2^2*x3^-1"),
-    ("witness", "{x}", "1/2,1/3,-5"),
+@pytest.mark.parametrize("args, pinned", [
+    (("homs", "{x}", "full:5"),
+     (3, "c621e2c94103fc7bb73ef807f764513827bdbaa6169a411720282cc7fa94e8c2")),
+    (("homs", "{y}", "{x}", "--expand", "4"),
+     (0, "be59def30ec8870fb30dfe9ae1dae2718ac07ef75c0e73852115b2921f150237")),
+    (("morphisms", "{y}", "{x}", "--expand", "8"),
+     (0, "2bb9d39732ef891c8106f0d096880dcf22362eb9249861c2d897da90524d36f3")),
+    (("polyeq", "--on-space", "3", "x1*x2^-1 + x3 + 0", "x1 + x2^2*x3^-1"), None),
+    (("witness", "{x}", "1/2,1/3,-5"), None),
 ], ids=["homs-full", "homs-lattice-expand", "morphisms", "polyeq", "witness"])
-def test_byte_determinism_across_runs(fan_files, args):
+def test_byte_determinism_across_runs(fan_files, args, pinned):
     # the commands build sets and parse text, so each run under three hash
-    # seeds prints the same bytes and exits with the same code
+    # seeds prints the same bytes and exits with the same code; an
+    # enumeration's exit code and the SHA-256 of its stdout are pinned
     x, y = fan_files
-    argv = [sys.executable, "-m", "tropfan.cli", *(a.format(x=x, y=y) for a in args)]
+    argv = [*CLI, *(a.format(x=x, y=y) for a in args)]
     outs = {(proc.returncode, proc.stdout) for proc in (
         subprocess.run(argv, capture_output=True, env={**ENV, "PYTHONHASHSEED": str(seed)})
         for seed in range(3))}
     assert len(outs) == 1
-    assert next(iter(outs))[1]
+    code, out = next(iter(outs))
+    assert out
+    if pinned:
+        assert (code, hashlib.sha256(out).hexdigest()) == pinned
 
 
 @pytest.mark.parametrize("args", [

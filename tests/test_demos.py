@@ -1,9 +1,10 @@
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from helpers import ENV
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -15,9 +16,9 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                          text=True, env=env, timeout=120)
+    # a deprecated call anywhere in a demo fails it
+    proc = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", str(demo)],
+                          capture_output=True, text=True, env=ENV, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
 

@@ -756,7 +756,7 @@ class TestComposition:
         assert enum.families == ()  # only the zero matrix maps into {0}
 
 
-class TestDeterminismAndJobs:
+class TestDeterminism:
     def test_json_lines_stable(self):
         a = enumerate_homs(genmatrix_x(), 3, lattice_y()).to_json_lines()
         b = enumerate_homs(genmatrix_x(), 3, lattice_y()).to_json_lines()
@@ -969,13 +969,15 @@ class TestLayoutTables:
 
     def test_warm_tables_give_cold_answers(self):
         # the tables are shared across enumerations: every draw's records and
-        # expansion, with the cache cleared before each call, equal those of
-        # a second pass in the opposite order over the tables the others built
+        # expansion, with the layout (and, for expand, composition) caches
+        # cleared before each call, equal those of a second pass in the
+        # opposite order over the tables the others built
         cold = []
         for gm, m, lattice, _, _ in arrangement_draws():
             homsearch._layouts.cache_clear()
             enum = enumerate_homs(gm, m, lattice)
             homsearch._layouts.cache_clear()
+            homsearch._compositions.cache_clear()
             cold.append((enum.families, enum.cone_records, enum.expand(3)))
         built = homsearch._layouts.cache_info()
         draws = list(arrangement_draws())
@@ -1326,7 +1328,19 @@ class TestKernelExpansion:
         for total in range(-1, count * limit + 2):
             brute = [p for p in itertools.product(range(1, limit + 1), repeat=count)
                      if sum(p) == total]
-            assert homsearch._compositions(total, count, limit) == brute
+            assert homsearch._compositions(total, count, limit) == tuple(brute)
+
+    def test_second_expand_builds_no_composition(self):
+        # the composition tables live for the process: expanding the same
+        # enumeration again reads every table the first expansion built
+        homsearch._compositions.cache_clear()
+        enum = enumerate_homs(genmatrix_x(), 5)
+        first = enum.expand(4)
+        built = homsearch._compositions.cache_info()
+        assert built.misses
+        assert enum.expand(4) == first
+        again = homsearch._compositions.cache_info()
+        assert again.misses == built.misses and again.hits > built.hits
 
     @pytest.mark.parametrize("case, bound, solves, size", [("X full:5", 4, 3, 4061),
                                                            ("X full:6", 2, 3, 3721),

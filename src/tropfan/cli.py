@@ -7,10 +7,10 @@ and no --expand bound given).  Each input is checked once, where it enters:
 by argparse, a loader or the library call that reads it.  Such checks raise
 ValueError, and main alone maps it, and a MemoryError from an input too
 large to allocate for, to one "error:" line and exit 2.
-Enumerations stream JSON lines; rationals are printed as exact "p/q"
-strings.  With --expand B, homs and morphisms print the explicit matrices of
-the library's expand and expand_T: those whose homomorphism (image) matrix
-has every entry in [-B, B].
+Enumerations print all their JSON lines in one write; rationals print as
+exact "p/q" strings.  With --expand B, homs and morphisms print the explicit
+matrices of the library's expand and expand_T: those whose homomorphism
+(image) matrix has every entry in [-B, B].
 """
 
 from __future__ import annotations
@@ -160,9 +160,10 @@ _EXPAND_HELP = ("print explicit matrices instead: every member whose homomorphis
                "matrix (for morphisms, the image matrix of T) has all entries in [-B, B]")
 
 
-def _bound(text: str) -> int:
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+def _bound(text: str, least: int = 0) -> int:
+    if not text.isdecimal() or int(text) < least:
+        kind = "positive" if least else "nonnegative"
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
     return int(text)
 
 
@@ -201,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("polyeq", help="decide equality of two polynomial functions")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--on-fan", metavar="FAN", help="compare on a fan's support")
-    mode.add_argument("--on-space", type=_bound, metavar="N", help="compare on all of R^N")
+    mode.add_argument("--on-space", type=lambda text: _bound(text, 1), metavar="N",
+                      help="compare on all of R^N")
     p.add_argument("f")
     p.add_argument("g")
     p.set_defaults(func=cmd_polyeq)

@@ -606,12 +606,13 @@ def enumerate_morphisms(from_fan: Fan1D, to_fan: Fan1D) -> MorphismEnumeration:
                           "on its generator matrix", stacklevel=2)
     MF = weighted_eval_map(to_fan)
     MG = weighted_eval_map(from_fan)
-    H, U = hnf(MG.matrix())  # the one HNF of MG: the lattice's basis and the solve's transform
+    H, U = hnf(MG.matrix())  # the lattice's basis and the solve's transform
     lattice = Lattice(from_fan.n_rays, H)
     enum = enumerate_homs(MF, from_fan.n_rays, lattice)
-    fams = sorted((MorphismFamily(fam.assignment, _gen_coords(lattice, U, fam.minimal_member))
-                   for fam in enum.families), key=MorphismFamily.sort_key)
-    return MorphismEnumeration(enum, MG, tuple(fams), U)
+    # enum.families' order is sort_key order: no two families share an assignment
+    fams = tuple(MorphismFamily(fam.assignment, _gen_coords(lattice, U, fam.minimal_member))
+                 for fam in enum.families)
+    return MorphismEnumeration(enum, MG, fams, U)
 
 
 def _gen_coords(L: Lattice, U: IntMatrix, M: IntMatrix) -> IntMatrix:

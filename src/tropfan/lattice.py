@@ -125,18 +125,6 @@ def _pivots(H: IntMatrix) -> list[tuple[int, int]]:
     return out
 
 
-def _is_hnf(H: Sequence[Sequence[int]]) -> bool:
-    """Whether H already is its canonical row HNF: echelon with positive
-    pivots, entries above each pivot in [0, pivot), zero rows last."""
-    last = -1
-    for i, (r, j) in enumerate(_pivots(H)):
-        p = H[r][j]
-        if r != i or j <= last or p < 0 or any(not 0 <= H[k][j] < p for k in range(r)):
-            return False
-        last = j
-    return True
-
-
 def _reduce_against(H: IntMatrix, v: Sequence[int]) -> list[int]:
     """Forward-substitute the integer vector v against echelon H, when every
     pivot divides the entry it meets: one coefficient per row of H (zero
@@ -154,11 +142,10 @@ class Lattice:
     """A subgroup of Z^m stored by its canonical row-HNF basis.
 
     The constructor brings any generating rows of the right length to that
-    basis, so equal lattices compare equal however they were given; rows
-    already in that form are taken as they are, without an HNF run.
-    Membership reads the linear forms of the forms property, computed once
-    per lattice and cached outside the fields, so they take no part in ==,
-    hash or dataclasses.replace.
+    basis with one HNF run, so equal lattices compare equal however they
+    were given, in that form or not.  Membership reads the linear forms of
+    the forms property, computed once per lattice and cached outside the
+    fields, so they take no part in ==, hash or dataclasses.replace.
     """
 
     ambient: int
@@ -168,12 +155,11 @@ class Lattice:
         ambient = exact_int(self.ambient)
         if ambient < 0:
             raise ValueError("ambient dimension must be nonnegative")
-        rows = _as_matrix(self.basis)
-        if any(len(row) != ambient for row in rows):
+        H = hnf(self.basis)[0]
+        if any(len(row) != ambient for row in H):
             raise ValueError("generator length disagrees with ambient dimension")
-        H = rows if _is_hnf(rows) else hnf(rows)[0]
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", tuple(tuple(row) for row in H if any(row)))
+        object.__setattr__(self, "basis", tuple(row for row in H if any(row)))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], ambient: int | None = None) -> "Lattice":
@@ -249,11 +235,10 @@ def solve_int(rows: Sequence[Sequence[int]], targets: Sequence[Sequence[int]]) -
     targets.  The coefficients over the HNF basis come from Lattice.member.
     Raises LatticeSolveError naming the first failing target row.
     """
-    M = _as_matrix(rows)
-    if not M:
+    H, U = hnf(rows)
+    if not H:
         raise ValueError("need at least one generator row")
-    H, U = hnf(M)
-    L = Lattice(len(M[0]), H)  # H is its own HNF, so no second run
+    L = Lattice(len(H[0]), H)
     T = []
     for idx, v in enumerate(targets):
         if len(v) != L.ambient:

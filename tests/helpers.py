@@ -47,6 +47,24 @@ B1 = ((1, -1, 0), (0, 0, 0), (1, 1, -2))
 B2 = ((0, 0, 0), (1, -1, 0), (1, 1, -2))
 
 
+def spy(monkeypatch, name, *owners):
+    """Wrap owner.<name> on each owner, for the work gates that count or
+    forbid calls into a layer.  Each wrapper calls its owner's original, so
+    owners that share one function count each call once, and the returned
+    list records every call's positional arguments in call order."""
+    calls = []
+
+    def recording(real):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, recording(getattr(owner, name)))
+    return calls
+
+
 def genmatrix_x() -> GenMatrix:
     return GenMatrix.from_matrix(MF_ROWS)
 
@@ -188,22 +206,22 @@ def reference_parse_poly(text: str, dim: int) -> TropPoly:
     return TropPoly(dim, monomials)
 
 
-def _reference_solve_reduce(H, v):
-    """Forward-substitute v against echelon H: (coefficients, residue), or
-    (None, v so far) when a pivot fails to divide the entry it meets."""
-    from tropfan.lattice import _pivots
-    from tropfan.maxplus import exact_int
-
-    vv = [exact_int(e) for e in v]
-    coeffs = [0] * len(H)
-    for i, j in _pivots(H):
-        p = H[i][j]
-        if vv[j] % p != 0:
+def _reference_reduce(H, v):
+    """Forward-substitute the integer vector v against the echelon rows H:
+    (coefficients, residue), one coefficient per row and 0 for a zero row,
+    or (None, v so far) when a pivot fails to divide the entry it meets."""
+    vv = list(v)
+    coeffs = []
+    for row in H:
+        j = next((j for j, e in enumerate(row) if e), None)
+        if j is None:
+            coeffs.append(0)
+            continue
+        if vv[j] % row[j]:
             return None, vv
-        q = vv[j] // p
-        if q:
-            vv = [e - q * f for e, f in zip(vv, H[i])]
-        coeffs[i] = q
+        q = vv[j] // row[j]
+        vv = [e - q * f for e, f in zip(vv, row)]
+        coeffs.append(q)
     return coeffs, vv
 
 
@@ -212,9 +230,9 @@ def reference_solve_int(rows, targets):
     the rows, its coefficients carried back by the HNF transform.  The
     solve that reading Lattice.member replaced; kept as the solve oracle."""
     from tropfan import LatticeSolveError, hnf
-    from tropfan.lattice import _as_matrix
+    from tropfan.maxplus import exact_int
 
-    M = _as_matrix(rows)
+    M = [[exact_int(e) for e in row] for row in rows]
     if not M:
         raise ValueError("need at least one generator row")
     H, U = hnf(M)
@@ -222,29 +240,13 @@ def reference_solve_int(rows, targets):
     for idx, v in enumerate(targets):
         if len(v) != len(M[0]):
             raise ValueError(f"target row {idx} has wrong length")
-        y, residue = _reference_solve_reduce(H, v)
+        y, residue = _reference_reduce(H, [exact_int(e) for e in v])
         if y is None or any(residue):
             raise LatticeSolveError(idx)
         # c . rows = (y . U) . rows = y . H = v
         c = [sum(y[i] * U[i][j] for i in range(len(M))) for j in range(len(M))]
         T.append(tuple(c))
     return tuple(T)
-
-
-def _reference_reduce(basis, v):
-    """Forward-substitute the integer vector v against the echelon basis:
-    (coefficients, residue), or (None, v so far) when a pivot fails to
-    divide the entry it meets."""
-    vv = list(v)
-    coeffs = []
-    for row in basis:
-        j = next(j for j, e in enumerate(row) if e)
-        if vv[j] % row[j]:
-            return None, vv
-        q = vv[j] // row[j]
-        vv = [e - q * f for e, f in zip(vv, row)]
-        coeffs.append(q)
-    return coeffs, vv
 
 
 def _reference_vector(lattice, v):

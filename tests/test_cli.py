@@ -511,6 +511,15 @@ def test_input_errors_exit_2_without_traceback(fan_files, tmp_path, args):
     assert err and "Traceback" not in err
 
 
+def test_zero_dimension_blames_on_space():
+    # a zero --on-space is refused where it enters, not by parse_poly as f's
+    # error
+    code, out, err = run("polyeq", "--on-space", "0", "x1", "x1")
+    assert (code, out) == (2, "")
+    assert "argument --on-space: expected a positive integer, got '0'" in err
+    assert "f:" not in err
+
+
 @pytest.mark.parametrize("args", [
     ("polyeq", "--on-space", "100000000000000", "x1", "x1"),
     ("homs", "fan3_r2.json", "full:100000000000000"),

@@ -7,7 +7,7 @@ import pytest
 from tropfan import cones, extreme_rays
 from tropfan.cones import bounded_points
 
-from helpers import random_primitive_direction, reference_extreme_rays
+from helpers import random_primitive_direction, reference_extreme_rays, spy
 
 
 def cone_contains(N, t):
@@ -136,9 +136,7 @@ def test_support_bound_prunes_combinations(monkeypatch):
         if d not in dirs:
             dirs.append(d)
     N = [[d[i] for d in dirs] for i in range(3)]
-    built = []
-    real = cones.primitive
-    monkeypatch.setattr(cones, "primitive", lambda v: built.append(v) or real(v))
+    built = spy(monkeypatch, "primitive", cones)
     rays = extreme_rays(N, 24, lambda s: s.bit_count() <= 3)
     assert len(rays) == 33 and len(built) <= 351
     assert rays == reference_extreme_rays(N, 24, lambda s: s.bit_count() <= 3)

@@ -10,7 +10,7 @@ import pytest
 
 from tropfan import exactlp
 from tropfan.exactlp import hull_separator, solve_eq_nonneg
-from helpers import reference_in_convex_hull, reference_solve_eq_nonneg
+from helpers import reference_in_convex_hull, reference_solve_eq_nonneg, spy
 
 
 def dot(a, b):
@@ -375,17 +375,12 @@ def test_integer_data_stays_off_fractions(monkeypatch):
     assert x == reference_solve_eq_nonneg(A, b)
     assert calls <= len(A[0])
 
-    rows = []
-
-    def recording(A, b):
-        rows.extend([*A, b])
-        return solve_eq_nonneg(A, b)
-
-    monkeypatch.setattr(exactlp, "solve_eq_nonneg", recording)
+    solves = spy(monkeypatch, "solve_eq_nonneg", exactlp)
     tri = [(0, 0), (4, 0), (0, 4)]
     for u in ((1, 1), (5, 1), (4, 0), (3, 3)):
         w, calls = _fraction_calls(lambda: hull_separator(u, tri))
         inside = u in ((1, 1), (4, 0))
         assert (w is None) == inside
         assert calls <= (len(tri) + 1 if inside else 0)
+    rows = [row for A, b in solves for row in (*A, b)]
     assert rows and all(type(e) is int for row in rows for e in row)

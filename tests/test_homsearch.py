@@ -29,25 +29,11 @@ from helpers import (B1, B2, FAN_X, FAN_Y, MG_ROWS, box_hom_oracle, column_permu
                      reference_circuit_table, reference_cone_records, reference_enumerate_homs,
                      reference_expand, reference_expand_cones, reference_geometric_check,
                      reference_json_lines, reference_least_multiplier, reference_member,
-                     reference_solve_int, scale_matrix)
+                     reference_solve_int, scale_matrix, spy)
 
 
 def vecs(matrix):
     return [TropVector(row) for row in matrix]
-
-
-def count_calls(monkeypatch, name):
-    """Replace homsearch.<name> by a wrapper that records each call's
-    positional arguments in the returned list."""
-    calls = []
-    real = getattr(homsearch, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(homsearch, name, counted)
-    return calls
 
 
 def assert_same_enumeration(enum, reference):
@@ -586,25 +572,19 @@ class TestEnumerateMorphisms:
 
     def test_generator_rows_brought_to_hnf_once(self, monkeypatch):
         # work gate: the target lattice, the families' T and expand_T share
-        # one HNF of the generator rows MG, where there were three, and the
-        # lattice takes that HNF as its basis without another run; the only
-        # other HNF is the transposed basis behind Lattice.forms.  The
-        # shared solve gives the canonical T of the substitution solve
-        calls = []
-        real = lattice_module.hnf
-
-        def counted(rows):
-            calls.append(tuple(map(tuple, rows)))
-            return real(rows)
-
-        monkeypatch.setattr(lattice_module, "hnf", counted)
-        monkeypatch.setattr(homsearch, "hnf", counted)
+        # one HNF of the generator rows MG, where there were three.  The
+        # lattice brings that HNF to canonical form once more, which leaves
+        # it unchanged, and the only other HNF is the transposed basis
+        # behind Lattice.forms.  The shared solve gives the canonical T of
+        # the substitution solve
+        calls = spy(monkeypatch, "hnf", lattice_module, homsearch)
         menum = enumerate_morphisms(FAN_Y, FAN_X)
         Ts = menum.expand_T(8)
         assert menum.target_gens.matrix() == MG_ROWS
         basis = menum.homs.target_lattice.basis
-        assert calls == [MG_ROWS, tuple(zip(*basis))]
+        assert [tuple(map(tuple, rows)) for rows, in calls] == [MG_ROWS, basis, tuple(zip(*basis))]
         monkeypatch.undo()
+        assert basis == lattice_module.hnf(MG_ROWS)[0]
         assert len(Ts) == 17
         # the transform is a field, so a copy carries it
         assert dataclasses.replace(menum).expand_T(8) == Ts
@@ -701,11 +681,8 @@ class TestFanSideOracle:
         # source in R^2 and [-1, 1] in R^3; every box morphism's images are
         # the images of an expand_T member, and every member meets the
         # definition
-        rng = random.Random(2026102011)
         spanning = with_members = flat_with_members = 0
-        for _ in range(150):
-            src, dst = (weighted_balanced_fan(rng, rng.randint(2, 3), rng.randint(2, 4))
-                        for _ in range(2))
+        for src, dst in seeded_fan_pairs():
             box = definitional_morphism_oracle(src, dst, 2 if src.ambient_dim == 2 else 1)
             members = enumerate_morphisms(src, dst).expand_T(image_bound(box, src))
             images = {ray_images(T, src) for T in members}
@@ -718,6 +695,31 @@ class TestFanSideOracle:
             flat_with_members += len(box) > 1 and not spans
         assert spanning >= 60 and 150 - spanning >= 60
         assert with_members >= 50 and flat_with_members >= 10
+
+    def test_families_keep_sort_key_order(self):
+        # a family's assignment fixes its circuit's support, and the support
+        # fixes the primitive circuit, so no two families share an
+        # assignment and the homomorphism families' order is already
+        # MorphismFamily.sort_key order
+        several = 0
+        for src, dst in [*REFERENCE_PAIRS, *seeded_fan_pairs()]:
+            fams = enumerate_morphisms(src, dst).families
+            assert len({fam.assignment for fam in fams}) == len(fams), (src, dst)
+            assert list(fams) == sorted(fams, key=homsearch.MorphismFamily.sort_key), (src, dst)
+            several += len(fams) > 1
+        assert several >= 90
+
+
+REFERENCE_PAIRS = [(FAN_Y, FAN_X), (FAN_Y, FAN_Y), (FAN_X, FAN_Y), (FAN_X, FAN_X)]
+
+
+def seeded_fan_pairs():
+    """150 seeded (source, destination) pairs of weighted balanced fans in
+    R^2 and R^3 with 2-4 rays."""
+    rng = random.Random(2026102011)
+    for _ in range(150):
+        yield tuple(weighted_balanced_fan(rng, rng.randint(2, 3), rng.randint(2, 4))
+                    for _ in range(2))
 
 
 class TestComposition:
@@ -839,7 +841,7 @@ class TestCircuitTable:
         # the enumeration, and none for its expansions, which read the
         # enumeration's circuits; the class-subset loop made up to 2^5 - 1
         # runs and a scan over assignments 6^5
-        calls = count_calls(monkeypatch, "extreme_rays")
+        calls = spy(monkeypatch, "extreme_rays", homsearch)
         enum = enumerate_homs(genmatrix_x(), 5)
         assert len(calls) == 1
         assert (len(enum.families), len(enum.cone_records)) == (120, 1500)
@@ -855,7 +857,7 @@ class TestCircuitTable:
         dirs = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1), (1, -1),
                 (-1, 1), (2, 1), (1, 2), (-2, -1), (-1, -2)]
         gm = GenMatrix.from_matrix([[d[i] for d in dirs] for i in range(2)])
-        calls = count_calls(monkeypatch, "extreme_rays")
+        calls = spy(monkeypatch, "extreme_rays", homsearch)
         enum = enumerate_homs(gm, 2)
         assert [n_vars for _, n_vars in calls] == [12]
         assert_same_enumeration(enum, reference_enumerate_homs(gm, 2))
@@ -866,7 +868,7 @@ class TestCircuitTable:
         # 6 * 5 * 4 positions each in full:6; building the matrix of every
         # ray of every assignment instead makes 51,840; each placement lays
         # its circuit's column template once
-        built = count_calls(monkeypatch, "_place")
+        built = spy(monkeypatch, "_place", homsearch)
         enum = enumerate_homs(genmatrix_x(), 6)
         assert len(built) == 240
         assert (len(enum.families), len(enum.cone_records)) == (240, 16560)
@@ -942,13 +944,7 @@ class TestLayoutTables:
         # so a repeated query and an expansion build none of them again
         real = homsearch._layouts
         real.cache_clear()
-        asked = []  # the shape of each table read
-
-        def read(shape):
-            asked.append(shape)
-            return real(shape)
-
-        monkeypatch.setattr(homsearch, "_layouts", read)
+        asked = spy(monkeypatch, "_layouts", homsearch)  # (shape,) of each table read
         enum = enumerate_homs(genmatrix_x(), 6)
         assert len(enum.cone_records) == 16560
         first = set(asked)
@@ -960,7 +956,7 @@ class TestLayoutTables:
         enum.expand(2)
         assert set(asked) & first  # the expansion reads the records' tables
         assert real.cache_info().misses == len(first | set(asked))
-        for shape in first:
+        for shape, in first:
             table = real(shape)
             assert table is real(shape) and type(table) is tuple
             for key, slots in table:
@@ -1055,10 +1051,7 @@ class TestJsonLines:
         # and 1,500 cone records whose 3,480 bases are 120 distinct matrices;
         # dumping every record on its own made 1,621 json.dumps calls
         enum = enumerate_homs(genmatrix_x(), 5)
-        dumped = []
-        real = json.dumps
-        monkeypatch.setattr(homsearch.json, "dumps",
-                            lambda obj, *args, **kwargs: dumped.append(obj) or real(obj, *args, **kwargs))
+        dumped = spy(monkeypatch, "dumps", homsearch.json)
         lines = enum.to_json_lines()
         assert len(lines) == 1621
         assert sum(map(len, (rec.ray_bases for rec in enum.cone_records))) == 3480
@@ -1252,7 +1245,7 @@ class TestKernelExpansion:
         # and testing each built matrix against the lattice 300 (1,460 at
         # bound 6); expand lays each matrix it builds with _place
         enum = enumerate_homs(genmatrix_y(), 5, Lattice.from_rows(list(genmatrix_x().matrix())))
-        built = count_calls(monkeypatch, "_place")
+        built = spy(monkeypatch, "_place", homsearch)
         for bound, nonzero in ((4, 4), (6, 8)):
             built.clear()
             members = enum.expand(bound)
@@ -1268,7 +1261,7 @@ class TestKernelExpansion:
         # the enumeration, whose families are laid with _place too, is done
         # before the count starts
         expand, bound = EXPAND_ONCE[case]()
-        built = count_calls(monkeypatch, "_place")
+        built = spy(monkeypatch, "_place", homsearch)
         members = expand(bound)
         assert len(built) == len(members) - 1
 
@@ -1353,7 +1346,7 @@ class TestKernelExpansion:
         enum = {"X full:5": lambda: enumerate_homs(genmatrix_x(), 5),
                 "X full:6": lambda: enumerate_homs(genmatrix_x(), 6),
                 "Y into the X lattice": lambda: enumerate_homs(genmatrix_y(), 5, lx)}[case]()
-        solved = count_calls(monkeypatch, "bounded_points")
+        solved = spy(monkeypatch, "bounded_points", homsearch)
         members = enum.expand(bound)
         assert len(solved) == solves
         assert len({repr(N) for N, _ in solved}) == solves  # a class set once
@@ -1364,7 +1357,7 @@ class TestKernelExpansion:
         # in a circuit and no class multiset has a positive kernel point
         gm = GenMatrix.from_matrix([(1, 1, 2, 1, 3), (1, 2, 1, 3, 1)])
         enum = enumerate_homs(gm, 10)
-        solved = count_calls(monkeypatch, "bounded_points")
+        solved = spy(monkeypatch, "bounded_points", homsearch)
         assert enum.expand(3) == {enum.zero_matrix}
         assert solved == []
 

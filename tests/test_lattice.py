@@ -10,7 +10,8 @@ from tropfan import (Lattice, LatticeSolveError, LatticeSpanError, hnf,
                      scalar_modulus, solve_int, xgcd)
 from tropfan import lattice as lattice_module
 
-from helpers import MG_ROWS, reference_least_multiplier, reference_member, reference_solve_int
+from helpers import (MG_ROWS, reference_least_multiplier, reference_member, reference_solve_int,
+                     spy)
 
 
 def det(M):
@@ -140,9 +141,7 @@ def test_constructor_refuses_bad_rows(ambient, rows):
 
 
 def test_from_rows_runs_hnf_once(monkeypatch):
-    calls = []
-    real = lattice_module.hnf
-    monkeypatch.setattr(lattice_module, "hnf", lambda rows: calls.append(rows) or real(rows))
+    calls = spy(monkeypatch, "hnf", lattice_module)
     L = Lattice.from_rows(MG_ROWS)
     assert len(calls) == 1
     assert (0, 4, -4) in L and (1, 0, -1) not in L
@@ -151,22 +150,18 @@ def test_from_rows_runs_hnf_once(monkeypatch):
     assert len(calls) == 2
 
 
-def test_canonical_rows_skip_hnf(monkeypatch):
-    """Rows already in canonical row HNF become the basis without an hnf
-    call and give the Lattice the HNF path gives; rows that break one
-    condition of the form (a negative pivot, an entry above a pivot out of
-    [0, pivot), a zero row above a nonzero one, rows out of echelon order)
-    still go through hnf to the same basis."""
+def test_canonical_and_broken_rows_give_one_basis():
+    """Rows already in canonical row HNF, the rows they came from, and rows
+    that break one condition of the form (a negative pivot, an entry above
+    a pivot out of [0, pivot), a zero row above a nonzero one, rows out of
+    echelon order) all give the same basis and the same Lattice."""
     rng = random.Random(20261021)
-    real = lattice_module.hnf
-    calls = []
-    monkeypatch.setattr(lattice_module, "hnf", lambda rows: calls.append(rows) or real(rows))
     seen = Counter()
     for _ in range(500):
         ambient = rng.randint(1, 5)
         rows = [[rng.choice((0, 0, rng.randint(-5, 5))) for _ in range(ambient)]
                 for _ in range(rng.randint(1, 4))]
-        H = [list(r) for r in real(rows)[0]]
+        H = [list(r) for r in hnf(rows)[0]]
         want = tuple(tuple(r) for r in H if any(r))
         cases = [(H, "canonical"), (rows, "given")]
         nonzero = [i for i, r in enumerate(H) if any(r)]
@@ -185,10 +180,8 @@ def test_canonical_rows_skip_hnf(monkeypatch):
         for M, kind in cases:
             canonical = is_row_hnf(M)
             assert canonical == (kind == "canonical" or (kind == "given" and M == H)), (M, kind)
-            calls.clear()
             L = Lattice(ambient, M)
             assert L.basis == want and L == Lattice(ambient, want)
-            assert len(calls) == (not canonical)
             seen[kind] += 1
     assert min(seen.values()) >= 100, seen
 

@@ -20,7 +20,7 @@ from tropfan.witness import witness_to_json
 from helpers import (FAN_X, FAN_Y, genmatrix_x, outcome, random_int_vector, random_poly,
                      random_primitive_direction, random_rational_point,
                      reference_kernel_basis, reference_separating_pair,
-                     reference_verify_witness)
+                     reference_verify_witness, spy)
 
 
 class TestIntegerize:
@@ -141,9 +141,7 @@ class TestSeparatingPair:
     def test_no_generic_hnf(self, monkeypatch):
         # the kernel basis is built directly; the two-HNF construction made
         # two hnf calls per pair
-        calls = []
-        real = tropfan.lattice.hnf
-        monkeypatch.setattr(tropfan.lattice, "hnf", lambda *a: calls.append(a) or real(*a))
+        calls = spy(monkeypatch, "hnf", tropfan.lattice)
         monkeypatch.setattr(tropfan.witness, "hnf", tropfan.lattice.hnf, raising=False)
         dirs = list(FAN_X.directions)
         w = separating_pair(dirs, (Fraction(1, 2), Fraction(1, 3), -5))

@@ -5,8 +5,8 @@ Exit codes: 0 success, 1 semantic negative (point in support, functions
 unequal), 2 input error, 3 inexhaustive enumeration (cone records present
 and no --expand bound given).  Each input is checked once, where it enters:
 by argparse, a loader or the library call that reads it.  Such checks raise
-ValueError, and main alone maps it, and a MemoryError from an input too
-large to allocate for, to one "error:" line and exit 2.
+ValueError; main alone maps it, and an input too large to hold (MemoryError,
+or OverflowError from a size above sys.maxsize), to one "error:" line, exit 2.
 Enumerations print all their JSON lines in one write; rationals print as
 exact "p/q" strings.  With --expand B, homs and morphisms print the explicit
 matrices of the library's expand and expand_T: those whose homomorphism
@@ -24,7 +24,7 @@ from .fan import Fan1D, GenMatrix, check_balancing, json_int, weighted_eval_map
 from .homsearch import enumerate_homs, enumerate_morphisms
 from .lattice import Lattice
 from .tropoly import differing_direction, parse_poly, separating_point
-from .witness import PointInSupportError, _verified_pair, witness_to_json
+from .witness import in_congruence_variety, witness_to_json
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -96,8 +96,6 @@ def cmd_homs(args) -> int:
         if not digits.isdecimal():
             raise ValueError(f"bad target {target!r}: expected full:<size>")
         size = int(digits)
-        if size > sys.maxsize:
-            raise ValueError(f"bad target {target!r}: the size exceeds {sys.maxsize}")
         lattice = None
     else:
         tg = _load_genmatrix(target)
@@ -127,13 +125,9 @@ def cmd_witness(args) -> int:
     if len(point) != fan.ambient_dim:
         raise ValueError(f"point has {len(point)} coordinates, fan lives in "
                          f"R^{fan.ambient_dim}")
-    try:
-        pair = _verified_pair(fan.directions, point)
-    except PointInSupportError:
-        print("in-support")
-        return EXIT_NEGATIVE
-    print(witness_to_json(pair))
-    return EXIT_OK
+    inside, pair = in_congruence_variety(point, fan.directions)
+    print("in-support" if inside else witness_to_json(pair))
+    return EXIT_NEGATIVE if inside else EXIT_OK
 
 
 def cmd_polyeq(args) -> int:
@@ -219,7 +213,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except MemoryError:
+    except (MemoryError, OverflowError):
         print("error: the input is too large to hold in memory", file=sys.stderr)
         return EXIT_INPUT
 

@@ -414,6 +414,73 @@ def definitional_morphism_oracle(source: Fan1D, target: Fan1D, bound: int):
     return found
 
 
+def _reference_rref(rows, width):
+    """The reduced row echelon form of rows over Fractions: its nonzero rows
+    and their pivot columns."""
+    R = [[Fraction(e) for e in row] for row in rows]
+    pivots = []
+    for col in range(width):
+        i = len(pivots)
+        r = next((k for k in range(i, len(R)) if R[k][col]), None)
+        if r is None:
+            continue
+        R[i], R[r] = R[r], R[i]
+        R[i] = [e / R[i][col] for e in R[i]]
+        for k in range(len(R)):
+            if k != i and R[k][col]:
+                f = R[k][col]
+                R[k] = [a - f * b for a, b in zip(R[k], R[i])]
+        pivots.append(col)
+    return R[:len(pivots)], pivots
+
+
+def reference_morphism_assignments(source: Fan1D, target: Fan1D) -> dict:
+    """{sigma: dimension} for every assignment sigma with a nonempty
+    support that some fan morphism source -> target has.
+
+    sigma[j] is the 0-based target ray that source ray direction a_j maps
+    onto, or None.  A real T has assignment sigma when T a_j = t_j b_sigma[j]
+    with t_j > 0 on sigma's support and t_j = 0 off it.  Such a T exists
+    exactly when sum_j c_j t_j b_sigma[j] = 0 for every c in a basis of the
+    linear relations among the a_j: a system N t = 0 on the support.  Its
+    solutions with every t_j > 0 form a relatively open cone.  That cone is
+    nonempty when t = 1 + s with s >= 0 solves the system, one
+    reference_solve_eq_nonneg LP, and then its dimension is |support| -
+    rank N.  A one-dimensional sigma is one family {k base_T}, since a
+    rational ray holds integral points.  Every (q + 1)^p assignment is
+    tried, by the definition and exact elimination alone: not the paper's
+    theorem, the evaluation maps or tropfan.cones, and weights play no
+    part.  An assignment is passed over before any elimination when a row
+    of N is nonzero with no entries of both signs, since then no t > 0
+    solves it.
+    """
+    import itertools
+    from math import lcm
+
+    a, b = source.directions, target.directions
+    p = len(a)
+    R, pivots = _reference_rref(zip(*a), p)
+    relations = []  # per free column f: c_f = 1, c_j = -R[i][f] at pivot j = pivots[i]
+    for f in sorted(set(range(p)) - set(pivots)):
+        c = [Fraction(j == f) for j in range(p)]
+        for row, j in zip(R, pivots):
+            c[j] = -row[f]
+        scale = lcm(*(e.denominator for e in c))
+        relations.append([int(e * scale) for e in c])
+    found = {}
+    for sigma in itertools.product([None, *range(len(b))], repeat=p):
+        support = [j for j in range(p) if sigma[j] is not None]
+        N = [[c[j] * b[sigma[j]][k] for j in support]
+             for c in relations for k in range(target.ambient_dim)]
+        if not support or any(any(row) and (min(row) >= 0 or max(row) <= 0) for row in N):
+            continue
+        rows = _reference_rref(N, len(support))[0]  # N t = 0 exactly when rows t = 0
+        dim = len(support) - len(rows)
+        if dim and reference_solve_eq_nonneg(rows, [-sum(row) for row in rows]) is not None:
+            found[sigma] = dim
+    return found
+
+
 def random_source_with_classes(rng, max_rows=3, max_labels=6):
     """A random generator matrix whose columns are drawn as zero, as a
     positive or negative multiple of an earlier nonzero column, or fresh;

@@ -520,18 +520,46 @@ def test_zero_dimension_blames_on_space():
     assert "f:" not in err
 
 
+HUGE = "100000000000000000000"  # 10^20, above sys.maxsize
+HUGE_FAN = {"ambient_dim": int(HUGE), "rays": []}
+
+
+def run_with_demo_fans(tmp_path, args):
+    """run(*args) with each *.json argument read from demos/fans, and {huge}
+    and {one} standing for HUGE_FAN and the no-circuit source [[1]]."""
+    (tmp_path / "huge.json").write_text(json.dumps(HUGE_FAN))
+    (tmp_path / "one.json").write_text("[[1]]")
+    return run(*(str(DEMO_FANS / a) if a.endswith(".json")
+                 else a.format(huge=tmp_path / "huge.json", one=tmp_path / "one.json")
+                 for a in args))
+
+
 @pytest.mark.parametrize("args", [
     ("polyeq", "--on-space", "100000000000000", "x1", "x1"),
     ("homs", "fan3_r2.json", "full:100000000000000"),
+    ("polyeq", "--on-space", HUGE, "x1", "x1"),
+    ("check", "{huge}"),
+    ("morphisms", "{huge}", "fan3_r2.json"),
+    ("morphisms", "fan3_r2.json", "{huge}"),
+    ("polyeq", "--on-fan", "{huge}", "x1", "x1"),
+    ("homs", "{one}", f"full:{HUGE}", "--expand", "1"),
 ])
-def test_input_too_large_to_allocate_exits_2(args):
-    # the first allocation these inputs ask for is about 800 TB (a list of
-    # 10^14 exponents, a tuple of 10^14 target labels), which is refused at
-    # once; the MemoryError is an input error, not a semantic negative
-    args = [str(DEMO_FANS / a) if a.endswith(".json") else a for a in args]
-    code, out, err = run(*args)
+def test_input_too_large_to_allocate_exits_2(tmp_path, args):
+    # the first two ask for about 800 TB at once (a list of 10^14
+    # exponents, a tuple of 10^14 target labels), a MemoryError; the others
+    # use a size above sys.maxsize as a length ([0] * dim in parse_poly and
+    # check_balancing, a zero matrix of 10^20 columns), an OverflowError.
+    # Both are input errors, not a semantic negative
+    code, out, err = run_with_demo_fans(tmp_path, args)
     assert (code, out) == (2, "")
     assert err == "error: the input is too large to hold in memory\n"
+
+
+def test_full_target_has_no_size_cap(tmp_path):
+    # a source with no positive circuit has only the zero homomorphism, into
+    # any number of labels
+    assert run_with_demo_fans(tmp_path, ["homs", "{one}", f"full:{HUGE}"]) == (
+        0, '{"kind": "zero"}\n', "")
 
 
 def test_library_value_error_exits_2_in_main(fan_files, monkeypatch, capsys):
@@ -556,7 +584,7 @@ _small = st.integers(-3, 3)
 _entry = st.one_of(_small, _small, _small, st.booleans(),
                    st.sampled_from([0.5, 2.0, "1", None, [1]]))
 _junk_fan = st.fixed_dictionaries({
-    "ambient_dim": st.one_of(st.integers(0, 3), _entry),
+    "ambient_dim": st.one_of(st.integers(0, 3), _entry, st.just(int(HUGE))),
     "rays": st.lists(st.fixed_dictionaries({
         "direction": st.lists(_entry, max_size=3),
         "weight": st.one_of(st.integers(1, 3), _entry)}), max_size=4)})
@@ -579,7 +607,10 @@ _file = st.one_of(
 _path = st.sampled_from(["{a}", "{a}", "{b}", "{b}", "{missing}"])
 _number = st.one_of(st.integers(0, 4).map(str), st.integers(0, 4).map(str),
                     st.sampled_from(["-1", "x", "1.5", ""]))
-_target = _path | _number.map(lambda s: "full:" + s) | st.just("full")
+# a size above sys.maxsize, for full: and --on-space only: as an --expand
+# bound it would make expand build a column table of about 10^20 entries
+_size = _number | st.just(HUGE)
+_target = _path | _size.map(lambda s: "full:" + s) | st.just("full")
 _point = st.lists(st.sampled_from(["0", "1", "-2", "1/2", "-3/4", "1/0", "a", ""]),
                   min_size=1, max_size=4).map(",".join)
 _poly = st.sampled_from(["x1", "x1 + x2", "x1^-2*x3 + 0", "0", "x2^3 + x1*x2",
@@ -594,7 +625,7 @@ _structured = st.one_of(
     st.tuples(st.just("witness"), _path, _point).map(list),
     st.tuples(st.just("polyeq"),
               st.sampled_from(["--on-fan"]).map(lambda f: [f, "{a}"])
-              | _number.map(lambda n: ["--on-space", n]),
+              | _size.map(lambda n: ["--on-space", n]),
               _poly, _poly).map(lambda t: [t[0], *t[1], t[2], t[3]]),
 )
 _token = _path | _number | _target | _point | _poly | st.sampled_from(

@@ -29,6 +29,7 @@ from helpers import (B1, B2, FAN_X, FAN_Y, MG_ROWS, box_hom_oracle, column_permu
                      reference_circuit_table, reference_cone_records, reference_enumerate_homs,
                      reference_expand, reference_expand_cones, reference_geometric_check,
                      reference_json_lines, reference_least_multiplier, reference_member,
+                     reference_morphism_assignments,
                      reference_solve_int, scale_matrix, spy)
 
 
@@ -708,6 +709,26 @@ class TestFanSideOracle:
             assert list(fams) == sorted(fams, key=homsearch.MorphismFamily.sort_key), (src, dst)
             several += len(fams) > 1
         assert several >= 90
+
+    def test_families_and_records_hold_the_exact_assignments(self):
+        # the fan-side oracle solves each assignment exactly, with no box:
+        # every family's assignment is one of its one-dimensional
+        # assignments, and each assignment it finds is a family's or a cone
+        # record's
+        dims = []
+        for src, dst in [*REFERENCE_PAIRS, *seeded_fan_pairs()]:
+            exact = reference_morphism_assignments(src, dst)
+            enum = enumerate_morphisms(src, dst)
+            fams = {fam.assignment for fam in enum.families}
+            assert all(exact.get(sigma) == 1 for sigma in fams), (src, dst)
+            records = {rec.assignment for rec in enum.cone_records}
+            assert exact.keys() <= fams | records, (src, dst)
+            dims.append(Counter(exact.values()))
+        # Y->X, Y->Y, X->Y, X->X: one-dimensional only
+        assert dims[:4] == [{1: 12}, {1: 6}, {1: 12}, {1: 32}]
+        # most seeded pairs have a morphism, and some a multi-parameter set
+        assert sum(map(bool, dims[4:])) >= 90
+        assert sum(dims[4:], Counter()).keys() == {1, 2, 3}
 
 
 REFERENCE_PAIRS = [(FAN_Y, FAN_X), (FAN_Y, FAN_Y), (FAN_X, FAN_Y), (FAN_X, FAN_X)]
